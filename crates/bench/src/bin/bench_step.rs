@@ -5,9 +5,9 @@
 //!
 //! * `naive_reference` — the retained pre-optimization per-sample path
 //!   (allocates, scalar).
-//! * `optimized_workspace` — the zero-allocation single-thread batch
-//!   path over the SIMD kernels. This is the key the regression gate
-//!   compares across runs.
+//! * `optimized_workspace` — the zero-allocation batch path over the
+//!   SIMD kernels, fanned over the process-wide core pool. This is the
+//!   key the regression gate compares across runs.
 //! * `pipeline_{n}w` — the full pipelined step (work-stealing pool,
 //!   per-layer tile allreduce, optimizer update) at 1/2/4 workers, the
 //!   per-core scaling curve. Worker counts above the machine's core
@@ -29,8 +29,6 @@
 //! `--check` fails (exit 1) if `optimized_workspace` regressed by more
 //! than 20% against the committed `BENCH_step.json` baseline.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use bench::header;
@@ -38,31 +36,12 @@ use bench::json::{array_items, compact_json, extract_value, number_after, today_
 use collectives::CodecKind;
 use trainer::real::net::{BatchWorkspace, NetConfig, SegNet};
 use trainer::real::pipeline::PipelineExecutor;
+use trainer::real::pool::CorePool;
 use trainer::real::segdata::{generate_batch, DataConfig, Sample};
 use trainer::real::sgd::{LrSchedule, MomentumSgd};
 
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 const BATCH: usize = 8;
 /// Pipelined variants: replicas × batch-per-replica = BATCH samples per
@@ -89,13 +68,13 @@ fn measure(
     for _ in 0..warmup {
         sink += step();
     }
-    let allocs_before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let allocs_before = alloc_probe::events();
     let t0 = Instant::now();
     for _ in 0..steps {
         sink += step();
     }
     let elapsed = t0.elapsed();
-    let allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = alloc_probe::events() - allocs_before;
     assert!(sink.is_finite(), "loss diverged during benchmark");
     let ns_per_step = elapsed.as_nanos() as f64 / steps as f64;
     Measurement {
@@ -287,7 +266,7 @@ fn main() {
          \"threads\": {},\n    \"cores\": {cores},\n    \"variants\": [\n{}\n    ],\n    \
          \"scaling\": [\n{}\n    ],\n    \"speedup\": {speedup:.3}\n  }}",
         today_utc(),
-        rayon::current_num_threads(),
+        CorePool::global().workers(),
         variants.join(",\n"),
         scaling_json.join(",\n"),
     );

@@ -73,7 +73,6 @@ fn config(steps: usize, eval_samples: usize) -> TrainConfig {
         accumulation_steps: 1,
         algo: Algorithm::Ring,
         pipeline: false,
-        fp16_gradients: false,
         codec: CodecKind::None,
         error_feedback: false,
         augment: false,

@@ -37,7 +37,6 @@ fn config(workers: usize, batch_per_worker: usize) -> TrainConfig {
         accumulation_steps: 1,
         algo: Algorithm::Ring,
         pipeline: false,
-        fp16_gradients: false,
         codec: CodecKind::None,
         error_feedback: false,
         augment: false,

@@ -21,6 +21,7 @@ use bench::{default_candidate, header, paper_model, tuned_candidate, v100, BATCH
 use horovod::{StepSim, Timeline};
 use summit_sim::{Machine, MachineConfig};
 use trace::{analyze, write_trace, Breakdown, TraceSession};
+use trainer::real::pool::CorePool;
 use trainer::real::{train, TrainConfig};
 use tuner::Candidate;
 
@@ -131,7 +132,7 @@ fn main() {
     );
     // With a single-lane pool the reductions run on the only worker and
     // nothing can overlap; the acceptance check needs real concurrency.
-    if rayon::current_num_threads() >= 2 {
+    if CorePool::global().workers() >= 2 {
         assert!(
             ar.overlap_us > 0.0,
             "pipelined tile reductions must overlap backprop, got {:.3} ms over {:.3} ms busy",

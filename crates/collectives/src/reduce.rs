@@ -1,10 +1,9 @@
 //! Element-wise reduction kernels.
 //!
-//! Large segments go through rayon so the real threaded executor's
-//! reduction step parallelizes inside a rank, mirroring how a GPU
-//! library reduces fused buffers with many threads.
-
-use rayon::prelude::*;
+//! Every kernel is a serial loop (AVX2 with a scalar twin): the
+//! executors already run one thread per rank, and the pipelined trainer
+//! spreads tile reductions over its core pool, so a reduction never
+//! fans out further inside a rank.
 
 /// Reduction applied by an allreduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,13 +14,6 @@ pub enum ReduceOp {
     Average,
     Max,
 }
-
-/// Below this many elements the serial loop beats rayon's dispatch cost.
-const PAR_THRESHOLD: usize = 1 << 15;
-
-/// Chunk width of the parallel paths: big enough to amortize thread
-/// dispatch, small enough to balance across workers.
-const PAR_CHUNK: usize = 1 << 13;
 
 /// Serial `dst[i] += src[i]`, scalar twin of [`sum_chunk_avx2`].
 // lint: hot-path
@@ -67,19 +59,6 @@ unsafe fn sum_chunk_avx2(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Serial sum with runtime dispatch over the twins.
-// lint: hot-path
-// lint: no-f64
-fn sum_chunk(dst: &mut [f32], src: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx2_fma() {
-        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { sum_chunk_avx2(dst, src) };
-        return;
-    }
-    sum_chunk_scalar(dst, src);
-}
-
 /// Serial `dst[i] = max(dst[i], src[i])`, scalar twin of
 /// [`max_chunk_avx2`].
 // lint: hot-path
@@ -121,19 +100,6 @@ unsafe fn max_chunk_avx2(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Serial max with runtime dispatch over the twins.
-// lint: hot-path
-// lint: no-f64
-fn max_chunk(dst: &mut [f32], src: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx2_fma() {
-        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { max_chunk_avx2(dst, src) };
-        return;
-    }
-    max_chunk_scalar(dst, src);
-}
-
 /// Serial `x *= scale`, scalar twin of [`scale_chunk_avx2`].
 // lint: hot-path
 // lint: no-f64
@@ -169,45 +135,32 @@ unsafe fn scale_chunk_avx2(buf: &mut [f32], scale: f32) {
     }
 }
 
-/// Serial scale with runtime dispatch over the twins.
-// lint: hot-path
-// lint: no-f64
-fn scale_chunk(buf: &mut [f32], scale: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx2_fma() {
-        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { scale_chunk_avx2(buf, scale) };
-        return;
-    }
-    scale_chunk_scalar(buf, scale);
-}
-
-/// `dst[i] = dst[i] + src[i]`.
+/// `dst[i] = dst[i] + src[i]`, with runtime dispatch over the twins.
 // lint: hot-path
 // lint: no-f64
 pub fn combine_sum(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "segment length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_chunks_mut(PAR_CHUNK)
-            .zip(src.par_chunks(PAR_CHUNK))
-            .for_each(|(d, s)| sum_chunk(d, s));
-    } else {
-        sum_chunk(dst, src);
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2_fma() {
+        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
+        unsafe { sum_chunk_avx2(dst, src) };
+        return;
     }
+    sum_chunk_scalar(dst, src);
 }
 
-/// `dst[i] = max(dst[i], src[i])`.
+/// `dst[i] = max(dst[i], src[i])`, with runtime dispatch over the twins.
 // lint: hot-path
 // lint: no-f64
 pub fn combine_max(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "segment length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_chunks_mut(PAR_CHUNK)
-            .zip(src.par_chunks(PAR_CHUNK))
-            .for_each(|(d, s)| max_chunk(d, s));
-    } else {
-        max_chunk(dst, src);
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2_fma() {
+        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
+        unsafe { max_chunk_avx2(dst, src) };
+        return;
     }
+    max_chunk_scalar(dst, src);
 }
 
 /// Combine according to `op`'s accumulation step (Average accumulates as
@@ -225,14 +178,17 @@ pub fn combine(op: ReduceOp, dst: &mut [f32], src: &[f32]) {
 // lint: hot-path
 // lint: no-f64
 pub fn finalize(op: ReduceOp, buf: &mut [f32], n_ranks: usize) {
-    if op == ReduceOp::Average {
-        let inv = 1.0 / n_ranks as f32;
-        if buf.len() >= PAR_THRESHOLD {
-            buf.par_chunks_mut(PAR_CHUNK).for_each(|c| scale_chunk(c, inv));
-        } else {
-            scale_chunk(buf, inv);
-        }
+    if op != ReduceOp::Average {
+        return;
     }
+    let inv = 1.0 / n_ranks as f32;
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2_fma() {
+        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
+        unsafe { scale_chunk_avx2(buf, inv) };
+        return;
+    }
+    scale_chunk_scalar(buf, inv);
 }
 
 #[cfg(test)]
@@ -247,8 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn sum_large_uses_parallel_path() {
-        let n = PAR_THRESHOLD + 17;
+    fn sum_large() {
+        let n = (1 << 15) + 17;
         let mut a = vec![1.0f32; n];
         let b = vec![2.0f32; n];
         combine_sum(&mut a, &b);

@@ -9,52 +9,20 @@
 //! executor proofs; this test pins the harder claim for the byte-stream
 //! path, where serialization buffers could easily regress into per-step
 //! allocation.
+//!
+//! Both tests share one process-wide counter and libtest runs them
+//! concurrently, so each holds the `alloc-probe` guard for its whole
+//! body: neither can allocate into the other's counted window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use collectives::{Algorithm, CtlSignal, PeerExecutor, ReduceOp};
 use faults::RetryPolicy;
 use transport::SocketMesh;
 
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Minimum allocation count over three runs of `f`: ambient one-time
-/// noise (libtest thread parking, lazy TLS) cannot recur in all three,
-/// while anything `f` itself allocates does.
-fn count_allocs(mut f: impl FnMut()) -> usize {
-    (0..3)
-        .map(|_| {
-            let before = ALLOC_EVENTS.load(Ordering::Relaxed);
-            f();
-            ALLOC_EVENTS.load(Ordering::Relaxed) - before
-        })
-        .min()
-        .unwrap_or(0)
-}
+static GLOBAL: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 fn policy() -> RetryPolicy {
     RetryPolicy {
@@ -72,6 +40,7 @@ const TOTAL: usize = WARMUP + MEASURED;
 
 #[test]
 fn steady_state_socket_allreduce_is_allocation_free() {
+    let probe = alloc_probe::exclusive();
     let (a, b) = UnixStream::pair().expect("socketpair");
     let pol = policy();
     let schedule = Algorithm::Ring.build(2, N_ELEMS);
@@ -116,7 +85,7 @@ fn steady_state_socket_allreduce_is_allocation_free() {
         one_step(&mut exec, &mut buf);
     }
 
-    let n = count_allocs(|| one_step(&mut exec, &mut buf));
+    let n = probe.count_allocs(|| one_step(&mut exec, &mut buf));
     assert_eq!(
         n, 0,
         "steady-state socket allreduce allocated {n} times; the wire path must recycle \
@@ -143,6 +112,7 @@ fn steady_state_socket_allreduce_is_allocation_free() {
 /// payload swap → frame encode → `write_all`.
 #[test]
 fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
+    let probe = alloc_probe::exclusive();
     use std::io::{Read, Write};
     use trace::telemetry::{metric, WorkerTelemetry};
     use transport::frame::{encode_into, Frame, FrameKind};
@@ -188,7 +158,7 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
         one_step();
     }
 
-    let n = count_allocs(&mut one_step);
+    let n = probe.count_allocs(&mut one_step);
     assert_eq!(
         n, 0,
         "steady-state telemetry encode+ship allocated {n} times; snapshots must reuse \

@@ -7,9 +7,8 @@
 //! hardware `VCVTPS2PH`/`VCVTPH2PS` conversion matches the from-scratch
 //! scalar conversion bit-for-bit on every non-NaN input.
 //!
-//! This module used to live in `trainer::real::fp16`; it moved here so
-//! the `collectives` compression codecs can share the exact same
-//! conversion (the trainer re-exports it unchanged).
+//! The `collectives` compression codecs and the trainer's pipelined
+//! tile reduction share this one conversion.
 
 /// Convert an `f32` to binary16 bits (round-to-nearest-even).
 pub fn f32_to_f16_bits(x: f32) -> u16 {
@@ -144,62 +143,6 @@ pub fn roundtrip_slice(xs: &mut [f32]) {
         return;
     }
     roundtrip_slice_scalar(xs);
-}
-
-/// Serial fused convert-reduce: `dst[i] += roundtrip(src[i])`, scalar
-/// twin of [`combine_sum_roundtrip_f16c`]. This is the fp16-allreduce
-/// accumulation step with the pack/unpack folded into the same pass —
-/// no intermediate compressed buffer.
-// lint: hot-path
-// lint: no-f64
-fn combine_sum_roundtrip_scalar(dst: &mut [f32], src: &[f32]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += roundtrip(*s);
-    }
-}
-
-/// F16C twin of [`combine_sum_roundtrip_scalar`]: convert down, convert
-/// up, and accumulate without leaving the registers.
-///
-/// # Safety
-/// Caller must ensure F16C (and AVX) is available (dispatch through
-/// [`crate::have_f16c`]).
-// lint: hot-path
-// lint: no-f64
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn combine_sum_roundtrip_f16c(dst: &mut [f32], src: &[f32]) {
-    use std::arch::x86_64::*;
-    const RNE: i32 = _MM_FROUND_TO_NEAREST_INT;
-    debug_assert_eq!(dst.len(), src.len());
-    let dp = dst.as_mut_ptr();
-    let sp = src.as_ptr();
-    let n = dst.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let s = _mm256_loadu_ps(sp.add(i));
-        let half = _mm256_cvtph_ps(_mm256_cvtps_ph::<RNE>(s));
-        _mm256_storeu_ps(dp.add(i), _mm256_add_ps(_mm256_loadu_ps(dp.add(i)), half));
-        i += 8;
-    }
-    while i < n {
-        *dp.add(i) += roundtrip(*sp.add(i));
-        i += 1;
-    }
-}
-
-/// Fused `dst[i] += roundtrip(src[i])`, dispatching over the twins.
-// lint: hot-path
-// lint: no-f64
-pub fn combine_sum_roundtrip(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "segment length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if crate::have_f16c() {
-        // SAFETY: the dispatch predicate just confirmed F16C.
-        unsafe { combine_sum_roundtrip_f16c(dst, src) };
-        return;
-    }
-    combine_sum_roundtrip_scalar(dst, src);
 }
 
 /// Serial fused finalize-compress: `x = roundtrip(x · scale)`, scalar
@@ -455,7 +398,7 @@ mod tests {
 
     /// The hardware F16C conversion must match the from-scratch scalar
     /// RNE conversion bit-for-bit on non-NaN inputs, at every length
-    /// (vector body + tail + empty), for all five kernels.
+    /// (vector body + tail + empty), for all four kernels.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn f16c_twins_match_scalar_bitwise() {
@@ -473,15 +416,6 @@ mod tests {
             // SAFETY: guarded by the dispatch predicate above.
             unsafe { roundtrip_slice_f16c(&mut v) };
             assert_eq!(bits(&s), bits(&v), "roundtrip twins diverge at n={n}");
-
-            let base: Vec<f32> = (0..n).map(|i| stress(i + 999) * 0.5).collect();
-            let base: Vec<f32> = base.iter().map(|&x| if x.is_nan() { 2.0 } else { x }).collect();
-            let mut s = base.clone();
-            let mut v = base.clone();
-            combine_sum_roundtrip_scalar(&mut s, &src_nonnan);
-            // SAFETY: guarded by the dispatch predicate above.
-            unsafe { combine_sum_roundtrip_f16c(&mut v, &src_nonnan) };
-            assert_eq!(bits(&s), bits(&v), "combine twins diverge at n={n}");
 
             let mut s = src_nonnan.clone();
             let mut v = src_nonnan.clone();
@@ -515,11 +449,6 @@ mod tests {
     fn fused_kernels_match_composed_scalar_ops() {
         let finite = |x: f32| if x.is_nan() { 1.0 } else { x };
         let src: Vec<f32> = (0..100).map(stress).map(finite).collect();
-        let mut dst: Vec<f32> = (0..100).map(|i| stress(i + 500)).map(finite).collect();
-        let want: Vec<f32> = dst.iter().zip(&src).map(|(d, s)| d + roundtrip(*s)).collect();
-        combine_sum_roundtrip(&mut dst, &src);
-        assert_eq!(dst, want);
-
         let mut xs = src.clone();
         let want: Vec<f32> = src.iter().map(|&x| roundtrip(x * 0.25)).collect();
         scale_roundtrip(&mut xs, 0.25);

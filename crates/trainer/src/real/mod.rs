@@ -3,7 +3,6 @@
 //! gradient allreduce.
 
 pub mod checkpoint;
-pub mod fp16;
 pub mod miou;
 pub mod net;
 pub mod pipeline;
@@ -14,7 +13,6 @@ pub mod train;
 pub mod worker;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use fp16::{compress_gradients, roundtrip};
 pub use miou::Confusion;
 pub use net::{BatchWorkspace, NetConfig, SegNet, Workspace};
 pub use segdata::{generate, generate_batch, DataConfig, Sample};

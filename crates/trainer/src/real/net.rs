@@ -26,18 +26,19 @@
 //! All per-sample scratch (activations, gradients, im2col matrices)
 //! lives in a reusable [`Workspace`]; [`SegNet::loss_grad_acc`]
 //! performs **zero heap allocations**, and [`SegNet::batch_loss_grad_ws`]
-//! folds a batch into per-thread workspaces ([`BatchWorkspace`]) so the
-//! steady-state training step never touches the allocator in the
-//! gradient path (asserted by `tests/zero_alloc.rs`).
+//! folds a batch into per-lane workspaces ([`BatchWorkspace`]) on the
+//! process-wide [`CorePool`] so the steady-state training step never
+//! touches the allocator in the gradient path, on any core count
+//! (asserted by `tests/zero_alloc.rs`).
 //!
 //! Gradients are verified against finite differences in the tests.
 
 use std::ops::Range;
 
 use rand::Rng;
-use rayon::prelude::*;
 use summit_metrics::rng::rng_for;
 
+use super::pool::CorePool;
 use super::segdata::Sample;
 
 /// Network shape.
@@ -1141,8 +1142,7 @@ impl Workspace {
     }
 }
 
-/// Balanced contiguous chunk `c` of `n` chunks over `len` items (the
-/// same partition the rayon shim uses, so slot work matches threads).
+/// Balanced contiguous chunk `c` of `n` chunks over `len` items.
 pub(crate) fn chunk_range(len: usize, n: usize, c: usize) -> Range<usize> {
     let base = len / n;
     let rem = len % n;
@@ -1150,9 +1150,10 @@ pub(crate) fn chunk_range(len: usize, n: usize, c: usize) -> Range<usize> {
     start..start + base + usize::from(c < rem)
 }
 
-/// Per-thread state for [`SegNet::batch_loss_grad_ws`]: one
-/// ([`Workspace`], gradient accumulator) slot per worker thread, plus
-/// the combined mean gradient. Construct once, reuse every step.
+/// Per-lane state for [`SegNet::batch_loss_grad_ws`]: one
+/// ([`Workspace`], gradient accumulator) slot per lane of
+/// [`CorePool::global`], plus the combined mean gradient. Construct
+/// once, reuse every step.
 #[derive(Debug)]
 pub struct BatchWorkspace {
     slots: Vec<Slot>,
@@ -1170,7 +1171,7 @@ struct Slot {
 impl BatchWorkspace {
     pub fn new(cfg: &NetConfig) -> Self {
         let n_params = cfg.n_params();
-        let slots = (0..rayon::current_num_threads())
+        let slots = (0..CorePool::global().workers())
             .map(|_| Slot { ws: Workspace::new(cfg), grad: vec![0.0; n_params], loss: 0.0 })
             .collect();
         BatchWorkspace { slots, grad: vec![0.0; n_params] }
@@ -1550,15 +1551,16 @@ impl SegNet {
     }
 
     /// Mean loss and gradient over a batch, written into `bw.grad`.
-    /// Zero heap allocations after `bw` is constructed: each thread
-    /// slot folds its contiguous shard of the batch into its own
-    /// workspace and accumulator, and the partials combine in fixed
-    /// slot order (deterministic for a given thread count).
+    /// Zero heap allocations after `bw` is constructed: each slot folds
+    /// its contiguous shard of the batch into its own workspace and
+    /// accumulator on a lane of [`CorePool::global`], and the partials
+    /// combine in fixed slot order (deterministic for a given core
+    /// count, whether the pool fanned out or ran the lanes inline).
     // lint: hot-path
     pub fn batch_loss_grad_ws(&self, batch: &[Sample], bw: &mut BatchWorkspace) -> f64 {
         assert!(!batch.is_empty());
         let n = bw.slots.len().min(batch.len());
-        bw.slots[..n].par_iter_mut().enumerate().for_each(|(c, slot)| {
+        CorePool::global().for_each_mut(&mut bw.slots[..n], &|c, slot| {
             slot.loss = 0.0;
             slot.grad.fill(0.0);
             for s in &batch[chunk_range(batch.len(), n, c)] {

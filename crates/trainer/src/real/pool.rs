@@ -1,13 +1,20 @@
-//! A tiny persistent core pool for the pipelined step executor.
+//! The workspace's one parallel runtime: a tiny persistent core pool.
 //!
 //! `CorePool::run(f)` fans a job out to `n` workers: the calling thread
 //! participates as worker 0 and `n - 1` persistent helper threads run
 //! the rest. Helpers park between jobs (`thread::park`, never a sleep
 //! loop) and are woken by a generation-counter handshake, so a steady
 //!-state `run` call performs **no heap allocation**: publish the job,
-//! unpark, work, park. That is what lets a whole pipelined training
-//! step stay inside the zero-allocation envelope the allocation-counter
-//! tests prove.
+//! unpark, work, park. That is what lets a whole training step stay
+//! inside the zero-allocation envelope the allocation-counter tests
+//! prove, on any core count. [`CorePool::global`] is the process-wide
+//! pool every fan-out outside the pipelined executor runs on.
+//!
+//! **Busy rule.** The job slot has one owner at a time. A `run` that
+//! finds the pool running a job (another thread's, or a nested call
+//! from inside a job) runs every lane inline, in lane order. Each lane
+//! index still runs exactly once per job, so a lane-partitioned job
+//! computes the same bits either way.
 //!
 //! The pool deliberately does *not* ship a scheduler: jobs receive only
 //! their worker index. Work distribution (the stealing part) lives with
@@ -18,7 +25,7 @@
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle, Thread};
 
 /// Raw job entry point: `(context, worker index)`.
@@ -36,6 +43,8 @@ struct Shared {
     /// Set when any worker panicked inside a job.
     panicked: AtomicBool,
     shutdown: AtomicBool,
+    /// Held by the submitter that owns the job slot (the busy rule).
+    busy: AtomicBool,
     /// The thread blocked in [`CorePool::run`], to unpark on completion.
     submitter: Mutex<Thread>,
 }
@@ -70,19 +79,27 @@ impl CorePool {
             remaining: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            busy: AtomicBool::new(false),
             submitter: Mutex::new(thread::current()),
         });
         let mut joins = Vec::with_capacity(workers - 1);
         for idx in 1..workers {
             let sh = Arc::clone(&shared);
             let join = thread::Builder::new()
-                .name(format!("pipeline-worker-{idx}"))
+                .name(format!("core-pool-{idx}"))
                 .spawn(move || helper_loop(&sh, idx))
-                .expect("spawn pipeline worker"); // lint: allow(unwrap): thread spawn failing at pool construction is unrecoverable
+                .expect("spawn core pool worker"); // lint: allow(unwrap): thread spawn failing at pool construction is unrecoverable
             joins.push(join);
         }
         let helpers = joins.iter().map(|j| j.thread().clone()).collect();
         CorePool { shared, helpers, joins, workers }
+    }
+
+    /// The process-wide pool, built on first use with one lane per
+    /// available core. Its helpers live for the rest of the process.
+    pub fn global() -> &'static CorePool {
+        static GLOBAL: OnceLock<CorePool> = OnceLock::new();
+        GLOBAL.get_or_init(|| CorePool::new(thread::available_parallelism().map_or(1, |n| n.get())))
     }
 
     /// Total worker lanes (helpers + the submitting thread).
@@ -96,16 +113,27 @@ impl CorePool {
     /// stay valid because `run` does not return until every helper has
     /// finished the job (the same discipline as scoped threads).
     ///
+    /// A busy pool runs the lanes inline instead (the busy rule).
     /// Steady-state calls allocate nothing.
     // lint: hot-path
     pub fn run<F: Fn(usize) + Sync>(&self, f: &F) {
         unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), idx: usize) {
             (*(ctx as *const F))(idx)
         }
-        if self.workers == 1 {
-            f(0);
+        if self.workers == 1
+            || self
+                .shared
+                .busy
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed) // lint: allow(relaxed): a failed claim touches no job state
+                .is_err()
+        {
+            for idx in 0..self.workers {
+                f(idx);
+            }
             return;
         }
+        // Released on every exit, unwinding included.
+        let _owner = Owner(&self.shared.busy);
         *lock_submitter(&self.shared) = thread::current();
         self.shared.job_ctx.store(f as *const F as *const () as usize, Ordering::Release);
         self.shared.job_fn.store(trampoline::<F> as JobFn as usize, Ordering::Release);
@@ -120,12 +148,55 @@ impl CorePool {
         while self.shared.remaining.load(Ordering::Acquire) != 0 {
             thread::park();
         }
+        let helper_panicked = self.shared.panicked.swap(false, Ordering::AcqRel);
         if let Err(payload) = mine {
             panic::resume_unwind(payload);
         }
-        if self.shared.panicked.swap(false, Ordering::AcqRel) {
-            panic!("pipeline pool worker panicked");
+        if helper_panicked {
+            panic!("core pool worker panicked");
         }
+    }
+}
+
+/// The items of a [`CorePool::for_each_mut`] job.
+struct Items<T>(*mut T, usize);
+
+// SAFETY: each item is borrowed by one lane only (see `for_each_mut`),
+// and T: Send lets it cross to that lane's thread.
+unsafe impl<T: Send> Sync for Items<T> {}
+
+impl<T> Items<T> {
+    /// # Safety
+    /// `i < len`, and no other reference to item `i` is live.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get(&self, i: usize) -> &mut T {
+        &mut *self.0.add(i)
+    }
+}
+
+impl CorePool {
+    /// Run `f(i, &mut items[i])` for every item, item `i` on lane
+    /// `i % workers()`. Allocates nothing.
+    // lint: hot-path
+    pub fn for_each_mut<T: Send, F: Fn(usize, &mut T) + Sync>(&self, items: &mut [T], f: &F) {
+        let items = Items(items.as_mut_ptr(), items.len());
+        self.run(&|lane| {
+            for i in (lane..items.1).step_by(self.workers) {
+                // SAFETY: each lane runs once per job and owns the
+                // indices ≡ lane (mod workers); `run` blocks, so the
+                // slice outlives the job.
+                f(i, unsafe { items.get(i) });
+            }
+        });
+    }
+}
+
+/// Clears the busy flag when the owning `run` returns or unwinds.
+struct Owner<'a>(&'a AtomicBool);
+
+impl Drop for Owner<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
     }
 }
 
@@ -289,8 +360,6 @@ mod tests {
                 }
             });
         }));
-        // Either the helper's flagged panic or (rarely, if worker 0 is
-        // re-dispatched...) — the run must not succeed silently.
         assert!(caught.is_err(), "helper panic must surface");
         // The pool stays usable for the next job.
         let ok = AtomicU32::new(0);
@@ -298,6 +367,75 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 2);
+    }
+
+    /// Runs one job that counts how often each lane index ran.
+    fn lane_counts(pool: &CorePool) -> Vec<u32> {
+        let hits: Vec<AtomicU32> = (0..pool.workers()).map(|_| AtomicU32::new(0)).collect();
+        pool.run(&|idx| {
+            hits[idx].fetch_add(1, Ordering::Relaxed);
+        });
+        hits.iter().map(|h| h.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn two_submitters_each_run_every_lane_once() {
+        let pool = CorePool::new(3);
+        thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..500 {
+                        assert_eq!(lane_counts(&pool), [1, 1, 1]);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn nested_run_goes_inline_and_runs_every_lane_once() {
+        let pool = CorePool::new(2);
+        let inner: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
+        let outer = AtomicU32::new(0);
+        pool.run(&|outer_idx| {
+            outer.fetch_add(1, Ordering::Relaxed);
+            let me = thread::current().id();
+            pool.run(&|idx| {
+                assert_eq!(thread::current().id(), me, "a nested job runs on its caller");
+                inner[2 * outer_idx + idx].fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(outer.load(Ordering::Relaxed), 2);
+        assert!(inner.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn jobs_after_a_panic_still_reach_the_helpers() {
+        let pool = CorePool::new(2);
+        for panicking in [&[0][..], &[1], &[0, 1]] {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(&|idx| assert!(!panicking.contains(&idx), "boom"));
+            }));
+            assert!(caught.is_err());
+            let ran_on = Mutex::new(Vec::new());
+            pool.run(&|idx| {
+                if let Ok(mut v) = ran_on.lock() {
+                    v.push((idx, thread::current().id()));
+                }
+            });
+            let ran_on = ran_on.into_inner().unwrap_or_default();
+            let me = thread::current().id();
+            assert_eq!(ran_on.len(), 2);
+            assert!(ran_on.iter().all(|&(idx, id)| (idx == 0) == (id == me)), "{ran_on:?}");
+        }
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once() {
+        let pool = CorePool::new(3);
+        let mut items = vec![0usize; 10];
+        pool.for_each_mut(&mut items, &|i, x| *x += i + 1);
+        assert_eq!(items, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]

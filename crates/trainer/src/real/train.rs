@@ -18,14 +18,14 @@ use collectives::{
     Algorithm, ElasticAllreduce, ElasticError, ExecTrace, FaultSession, ReduceOp, Violation,
 };
 use faults::{FaultEvent, FaultPlan, RetryPolicy};
-use rayon::prelude::*;
 use summit_metrics::rng::derive_seed;
 use summit_metrics::{FaultCounterSnapshot, FaultCounters};
 use trace::{Lane, TraceSession};
 
 use super::checkpoint::{Checkpoint, CheckpointError};
 use super::miou::Confusion;
-use super::net::{BatchWorkspace, NetConfig, SegNet};
+use super::net::{chunk_range, BatchWorkspace, NetConfig, SegNet};
+use super::pool::CorePool;
 use super::segdata::{generate, generate_batch, DataConfig};
 use super::sgd::{LrSchedule, MomentumSgd};
 
@@ -122,13 +122,9 @@ pub struct TrainConfig {
     /// Mutually exclusive with `faults` — chaos runs need the elastic
     /// bulk-synchronous path.
     pub pipeline: bool,
-    /// Round-trip gradients through fp16 before averaging (Horovod's
-    /// `HOROVOD_COMPRESSION=fp16`), to measure the accuracy cost.
-    /// Legacy alias for `codec = CodecKind::Fp16` — see
-    /// [`TrainConfig::effective_codec`].
-    pub fp16_gradients: bool,
     /// Wire codec applied to each worker's local-mean gradient before
-    /// averaging (`None` ⇒ full fp32). Lossier codecs (`Int4`, `TopK`)
+    /// averaging (`None` ⇒ full fp32; `Fp16` is Horovod's
+    /// `HOROVOD_COMPRESSION=fp16`). Lossier codecs (`Int4`, `TopK`)
     /// should be paired with `error_feedback`.
     pub codec: CodecKind,
     /// Keep a persistent per-worker fp32 residual of what the codec
@@ -181,7 +177,6 @@ impl TrainConfig {
             accumulation_steps: 1,
             algo: Algorithm::Ring,
             pipeline: false,
-            fp16_gradients: false,
             codec: CodecKind::None,
             error_feedback: false,
             augment: false,
@@ -199,15 +194,9 @@ impl TrainConfig {
         self.workers * self.batch_per_worker * self.accumulation_steps
     }
 
-    /// The wire codec actually applied: `codec`, with the legacy
-    /// `fp16_gradients` flag mapping to `Fp16` when no explicit codec
-    /// is set.
+    /// The wire codec actually applied: `codec`.
     pub fn effective_codec(&self) -> CodecKind {
-        if self.codec == CodecKind::None && self.fp16_gradients {
-            CodecKind::Fp16
-        } else {
-            self.codec
-        }
+        self.codec
     }
 
     fn check(&self) {
@@ -254,26 +243,24 @@ pub struct TrainResult {
 }
 
 /// Evaluate `net` on `n` held-out samples (seed stream disjoint from
-/// training data by construction).
+/// training data by construction), one contiguous share per lane of
+/// [`CorePool::global`], merged in lane order.
 pub fn evaluate(net: &SegNet, data: &DataConfig, seed: u64, n: usize) -> Confusion {
     let eval_seed = derive_seed(seed, "eval");
-
-    (0..n as u64)
-        .into_par_iter()
-        .map(|i| {
-            let s = generate(data, eval_seed, i);
-            let pred = net.predict(&s.pixels);
-            let mut c = Confusion::new(data.n_classes);
-            c.add(&s.labels, &pred);
-            c
-        })
-        .reduce(
-            || Confusion::new(data.n_classes),
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        )
+    let pool = CorePool::global();
+    let mut parts: Vec<Confusion> =
+        (0..pool.workers()).map(|_| Confusion::new(data.n_classes)).collect();
+    pool.for_each_mut(&mut parts, &|lane, conf| {
+        for i in chunk_range(n, pool.workers(), lane) {
+            let s = generate(data, eval_seed, i as u64);
+            conf.add(&s.labels, &net.predict(&s.pixels));
+        }
+    });
+    let mut total = Confusion::new(data.n_classes);
+    for part in &parts {
+        total.merge(part);
+    }
+    total
 }
 
 /// Run data-parallel training per `cfg`, panicking on infrastructure
@@ -433,8 +420,8 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
     });
     // Persistent codec state for the classic path: per-worker fp32
     // error-feedback residuals and one reusable encode scratch
-    // (compression is serial there, mirroring the historical fp16
-    // sweep). Allocated once, so the step path stays allocation-free.
+    // (compression is serial there). Allocated once, so the step path
+    // stays allocation-free.
     let mut ef_states: Vec<ErrorFeedback> = if cfg.error_feedback && codec.is_lossy() {
         (0..workers.len()).map(|_| ErrorFeedback::new(n_params)).collect()
     } else {
@@ -455,7 +442,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             workers.len(),
             cfg.batch_per_worker,
             cfg.accumulation_steps,
-            rayon::current_num_threads(),
+            CorePool::global().workers(),
         );
         if let Some(ts) = &cfg.trace {
             ex.attach_trace(&ts.recorder);
@@ -475,8 +462,8 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             s.begin_step(step);
         }
         let start = (step * cfg.global_batch()) as u64;
-        // Gradient computation: one rayon task per worker; per-sample
-        // work inside fans out further on the same pool. Each worker
+        // Gradient computation: replicas one after another, each batch
+        // spread over every lane of the process-wide pool. Each worker
         // accumulates straight into its persistent allreduce buffer.
         // Shard addressing uses the ORIGINAL world layout (`cfg.workers`
         // and `state.id`), so each survivor keeps its own slice of the
@@ -517,7 +504,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             }
             step_losses.push(last_loss);
         } else {
-            workers.par_iter_mut().zip(grads.par_iter_mut()).for_each(|(state, acc)| {
+            for (state, acc) in workers.iter_mut().zip(grads.iter_mut()) {
                 let t0 = state.lane.as_ref().map(Lane::now_us);
                 // Accumulate over micro-batches before communicating.
                 let mut loss_sum = 0.0f64;
@@ -551,18 +538,12 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
                         cfg.accumulation_steps as u64,
                     );
                 }
-            });
+            }
             last_loss = workers.iter().map(|s| s.loss).sum::<f64>() / workers.len() as f64;
             // Apply the wire codec to each worker's local-mean gradient
-            // (the averaging itself stays fp32). Plain fp16 keeps the
-            // rayon-parallel fused sweep; everything else goes through
-            // the shared codec roundtrip, error-feedback compensated
-            // when configured.
-            if codec == CodecKind::Fp16 && !cfg.error_feedback {
-                for g in grads.iter_mut() {
-                    super::fp16::compress_gradients(g);
-                }
-            } else if codec.is_lossy() {
+            // (the averaging itself stays fp32), error-feedback
+            // compensated when configured.
+            if codec.is_lossy() {
                 if cfg.error_feedback {
                     for (g, ef) in grads.iter_mut().zip(ef_states.iter_mut()) {
                         ef.roundtrip(codec, g, &mut codec_scratch);
@@ -600,9 +581,9 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
                 debug_assert_eq!(workers.len(), grads.len());
             }
 
-            workers.par_iter_mut().zip(grads.par_iter()).for_each(|(state, grad)| {
+            CorePool::global().for_each_mut(&mut workers, &|i, state| {
                 let t0 = state.lane.as_ref().map(Lane::now_us);
-                state.opt.apply(state.net.params_mut(), grad);
+                state.opt.apply(state.net.params_mut(), &grads[i]);
                 if let (Some(l), Some(t0)) = (state.lane.as_ref(), t0) {
                     l.record_args("OPTIMIZER", "apply", t0, l.now_us() - t0, step as u64, 0);
                 }
@@ -715,7 +696,6 @@ mod tests {
             accumulation_steps: 1,
             algo: Algorithm::Ring,
             pipeline: false,
-            fp16_gradients: false,
             codec: CodecKind::None,
             error_feedback: false,
             augment: false,
@@ -802,7 +782,7 @@ mod tests {
     fn fp16_gradients_barely_move_the_result() {
         let base = train(&tiny(2, 30));
         let mut c = tiny(2, 30);
-        c.fp16_gradients = true;
+        c.codec = CodecKind::Fp16;
         let fp16 = train(&c);
         assert!(
             (base.final_miou - fp16.final_miou).abs() < 0.08,
@@ -1054,7 +1034,7 @@ mod tests {
         let mut cfg = tiny(2, 10);
         cfg.pipeline = true;
         cfg.accumulation_steps = 2;
-        cfg.fp16_gradients = true;
+        cfg.codec = CodecKind::Fp16;
         let a = train(&cfg);
         let b = train(&cfg);
         assert_eq!(a.final_params, b.final_params);

@@ -43,7 +43,7 @@
 
 use std::time::Duration;
 
-use collectives::compression::{self, CodecKind, EncodeScratch, ErrorFeedback};
+use collectives::compression::{self, EncodeScratch, ErrorFeedback};
 use collectives::{CtlSignal, PeerExecError, PeerExecutor, ReduceOp, Schedule, Violation};
 use faults::RetryPolicy;
 use summit_metrics::rng::derive_seed;
@@ -241,9 +241,7 @@ pub fn run_worker(
         let loss = loss_sum / cfg.accumulation_steps as f64;
 
         // Wire codec on the local-mean gradient, exactly as try_train.
-        if codec == CodecKind::Fp16 && !cfg.error_feedback {
-            super::fp16::compress_gradients(&mut grad);
-        } else if codec.is_lossy() {
+        if codec.is_lossy() {
             match ef.as_mut() {
                 Some(ef) => ef.roundtrip(codec, &mut grad, &mut codec_scratch),
                 None => compression::roundtrip(codec, &mut grad, &mut codec_scratch),

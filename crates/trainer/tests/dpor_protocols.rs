@@ -6,7 +6,8 @@
 //! orderings the real code uses, so the unmutated checks certify those
 //! orderings are sufficient, and seeded mutants (dropped fence,
 //! Relaxed-ified CAS/RMW, off-by-one counter, torn CAS, lost unpark,
-//! panic-mid-phase) must each be refuted with a replayable trace:
+//! panic-mid-phase, missing busy rule) must each be refuted with a
+//! replayable trace:
 //!
 //! 1. [`QueueModel`] — `RangeQueue` (`pool.rs`): owner `pop_front` vs
 //!    two thieves `steal_back` racing CAS on the packed
@@ -15,11 +16,13 @@
 //!    post-claim work is what plain BFS state-space multiplies over and
 //!    DPOR collapses.
 //! 2. [`PoolModel`] — the `CorePool` park/unpark generation handshake
-//!    (`run` / `helper_loop`), including the submit-while-parking
+//!    (`run` / `helper_loop` / `Drop`), including the submit-while-parking
 //!    window (a worker observes a stale generation and heads to park
-//!    while the submitter publishes) and the panic-mid-phase window (a
+//!    while the submitter publishes), the panic-mid-phase window (a
 //!    worker panics after reading the job; the real code still
-//!    decrements `remaining`).
+//!    decrements `remaining`), and the busy rule with a second
+//!    submitter sharing the pool (the loser of the busy CAS runs its
+//!    lanes inline; without the rule the two overwrite one job slot).
 //! 3. [`TileModel`] — the pipelined `reduce_tile` completion-counter
 //!    drain (`pipeline.rs`): workers publish partials with plain writes
 //!    ordered only by the counter's `fetch_sub(AcqRel)` chain; the
@@ -321,15 +324,22 @@ fn range_queue_steal_off_by_one_mutant_refuted() {
 }
 
 // ---------------------------------------------------------------------
-// 2. CorePool: park/unpark generation handshake
+// 2. CorePool: park/unpark generation handshake + busy rule
 // ---------------------------------------------------------------------
 
 const JOB: Loc = 0;
 const REM: Loc = 1;
 const GEN: Loc = 2;
-/// Parking-lot ids (not memory locations).
-const SUB_LOT: Loc = 100;
+const BUSY: Loc = 3;
+const SHUT: Loc = 4;
+/// The `submitter` handle helpers unpark (a mutex in the real code).
+const SUBW: Loc = 5;
+/// Submitter `k` publishes job `JOB_VAL + k`.
 const JOB_VAL: u64 = 42;
+const N_WORKERS: usize = 2;
+const MAX_SUBMITTERS: usize = 2;
+/// Lanes per job: the submitter's lane 0 plus one per helper.
+const LANES: usize = 1 + N_WORKERS;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PoolBug {
@@ -344,48 +354,114 @@ enum PoolBug {
     /// A panicking worker skips the `remaining` decrement (the real
     /// code decrements after `catch_unwind`).
     PanicSkipsDecrement,
+    /// No busy rule: every submitter publishes into the one job slot,
+    /// overwriting a job the helpers may still be running.
+    NoBusyRule,
 }
 
-/// `CorePool::run` + `helper_loop` for one job: submitter (thread 0)
-/// publishes job/remaining/generation with Release stores, unparks both
-/// helpers, and waits for `remaining == 0` (Acquire) parking in
-/// between; helpers (threads 1..=2) spin-or-park on the generation,
-/// read the job, and decrement `remaining` with AcqRel, unparking the
-/// submitter on the final decrement.
+/// `CorePool::run` + `helper_loop` + `Drop`. Each submitter (threads
+/// `0..submitters`) claims the job slot with the busy CAS (Acquire;
+/// a failed claim runs all lanes inline), publishes submitter handle,
+/// job, remaining and generation with Release stores, unparks both
+/// helpers, runs lane 0, waits for `remaining == 0` (Acquire) parking in
+/// between, and releases the slot (Release). Submitter 0 owns the pool:
+/// once every submitter returned it stores `shutdown` and unparks the
+/// helpers, as `Drop` does. Helpers (threads `submitters..`) loop: a
+/// new generation means read the job, run it, decrement `remaining`
+/// with AcqRel and, on the final decrement, unpark the recorded
+/// submitter; otherwise exit on `shutdown` or park.
+///
+/// Ghost state records which job each generation published and how
+/// often each job ran each lane, so the invariant can demand that every
+/// job runs every lane exactly once and that no helper runs a job its
+/// submitter has already returned from.
 struct PoolModel {
     bug: PoolBug,
-    /// Worker index (0-based) that panics mid-job, if any.
+    /// Helper index (0-based) that panics in its first job, if any.
     panic_in: Option<usize>,
+    /// Threads calling `run` on the one pool (1 or 2).
+    submitters: usize,
 }
 
-const N_WORKERS: usize = 2;
+/// Submitter program counters.
+mod sub {
+    pub const CLAIM: u8 = 0;
+    pub const INLINE: u8 = 1;
+    pub const HANDLE: u8 = 2;
+    pub const STORE_JOB: u8 = 3;
+    pub const STORE_REM: u8 = 4;
+    pub const BUMP_GEN: u8 = 5;
+    /// `UNPARK + w` unparks helper `w`.
+    pub const UNPARK: u8 = 6;
+    pub const LANE0: u8 = 8;
+    pub const LOAD_REM: u8 = 9;
+    pub const PARK: u8 = 10;
+    /// Every pc from here on has returned from the wait.
+    pub const RELEASE: u8 = 11;
+    pub const JOIN: u8 = 12;
+    pub const SHUTDOWN: u8 = 13;
+    /// `DROP_UNPARK + w` unparks helper `w` for shutdown.
+    pub const DROP_UNPARK: u8 = 14;
+    pub const DONE: u8 = 16;
+}
+
+/// Helper program counters.
+mod helper {
+    pub const LOAD_GEN: u8 = 0;
+    pub const LOAD_SHUT: u8 = 1;
+    pub const PARK: u8 = 2;
+    pub const LOAD_JOB: u8 = 3;
+    pub const RUN: u8 = 4;
+    pub const DECREMENT: u8 = 5;
+    pub const LOAD_HANDLE: u8 = 6;
+    pub const UNPARK_SUB: u8 = 7;
+    pub const DONE: u8 = 8;
+}
 
 #[derive(Clone, Hash, PartialEq, Eq, Debug)]
 struct PoolState {
     mem: Mem,
-    /// 0 store job, 1 store rem, 2 bump gen, 3..4 unpark helpers,
-    /// 5 load rem, 6 park, 7 done.
-    sub_pc: u8,
-    /// 0 load gen, 1 park, 2 load job, 3 run, 4 decrement, 5 unpark
-    /// submitter, 6 done.
+    sub_pc: [u8; MAX_SUBMITTERS],
     w_pc: [u8; N_WORKERS],
+    w_gen: [u64; N_WORKERS],
     seen_job: [u64; N_WORKERS],
-    /// Park tokens (std's `unpark` token semantics).
-    token: [bool; N_WORKERS],
-    sub_token: bool,
-    /// Which worker issued the submitter's token (for the HB transfer).
-    sub_token_from: usize,
-    panicked: bool,
+    /// Submitter the helper is about to unpark.
+    w_target: [usize; N_WORKERS],
+    /// Park tokens (std's `unpark` token semantics), with a bitmask of
+    /// the threads whose unpark set it (for the HB transfer).
+    token: [u8; N_WORKERS],
+    sub_token: [u8; MAX_SUBMITTERS],
+    /// Ghost: job value published by each generation.
+    gen_job: [u64; 1 + MAX_SUBMITTERS],
+    /// Ghost: times job `k` ran lane `l`.
+    ran: [[u8; LANES]; MAX_SUBMITTERS],
+    panicked: [bool; N_WORKERS],
     underflow: bool,
 }
 
 impl PoolModel {
-    fn wtid(w: usize) -> usize {
-        w + 1
+    fn wtid(&self, w: usize) -> usize {
+        self.submitters + w
     }
 
     fn lot(w: usize) -> Loc {
         101 + w as Loc
+    }
+
+    fn sub_lot(k: usize) -> Loc {
+        110 + k as Loc
+    }
+
+    /// Consume a park token: park returned because of `unpark`, so join
+    /// every unparker's view (std guarantees this edge).
+    fn consume(&self, mem: &Mem, from_mask: u8, to: usize) -> Mem {
+        let mut m = mem.clone();
+        for from in 0..self.submitters + N_WORKERS {
+            if from_mask & (1 << from) != 0 {
+                m = m.transfer(from, to);
+            }
+        }
+        m
     }
 }
 
@@ -393,28 +469,34 @@ impl NdModel for PoolModel {
     type State = PoolState;
 
     fn initial(&self) -> PoolState {
+        assert!((1..=MAX_SUBMITTERS).contains(&self.submitters));
+        let mut sub_pc = [sub::DONE; MAX_SUBMITTERS];
+        sub_pc[..self.submitters].fill(sub::CLAIM);
         PoolState {
-            mem: Mem::new(1 + N_WORKERS, &[0, 0, 0]),
-            sub_pc: 0,
-            w_pc: [0; N_WORKERS],
+            mem: Mem::new(self.submitters + N_WORKERS, &[0; 6]),
+            sub_pc,
+            w_pc: [helper::LOAD_GEN; N_WORKERS],
+            w_gen: [0; N_WORKERS],
             seen_job: [0; N_WORKERS],
-            token: [false; N_WORKERS],
-            sub_token: false,
-            sub_token_from: 0,
-            panicked: false,
+            w_target: [0; N_WORKERS],
+            token: [0; N_WORKERS],
+            sub_token: [0; MAX_SUBMITTERS],
+            gen_job: [0; 1 + MAX_SUBMITTERS],
+            ran: [[0; LANES]; MAX_SUBMITTERS],
+            panicked: [false; N_WORKERS],
             underflow: false,
         }
     }
 
     fn n_threads(&self) -> usize {
-        1 + N_WORKERS
+        self.submitters + N_WORKERS
     }
 
     fn steps(&self, s: &PoolState, tid: usize) -> Steps<PoolState> {
-        if tid == 0 {
-            return self.submitter_steps(s);
+        if tid < self.submitters {
+            return self.submitter_steps(s, tid);
         }
-        self.worker_steps(s, tid - 1)
+        self.worker_steps(s, tid - self.submitters)
     }
 
     fn invariant(&self, s: &PoolState) -> Result<(), String> {
@@ -422,14 +504,27 @@ impl NdModel for PoolModel {
             return Err("remaining underflowed below zero".into());
         }
         for w in 0..N_WORKERS {
-            if s.w_pc[w] >= 3 && s.seen_job[w] != JOB_VAL {
+            let want = s.gen_job[s.w_gen[w] as usize];
+            if s.w_pc[w] == helper::RUN && s.seen_job[w] != want {
                 return Err(format!(
-                    "worker {w} ran with a stale job pointer ({} != {JOB_VAL})",
+                    "worker {w} ran with a stale job pointer ({} != {want})",
                     s.seen_job[w]
                 ));
             }
         }
-        if s.sub_pc == 7 && s.w_pc.iter().all(|&pc| pc == 6) && s.mem.peek(REM) != 0 {
+        for k in 0..self.submitters {
+            for (lane, &n) in s.ran[k].iter().enumerate() {
+                if n > 1 {
+                    return Err(format!("job {k} ran lane {lane} {n} times"));
+                }
+                if n == 0 && s.sub_pc[k] >= sub::RELEASE {
+                    return Err(format!("submitter {k} returned before lane {lane} ran"));
+                }
+            }
+        }
+        let all_done = s.sub_pc.iter().all(|&pc| pc == sub::DONE)
+            && s.w_pc.iter().all(|&pc| pc == helper::DONE);
+        if all_done && s.mem.peek(REM) != 0 {
             return Err(format!("handshake completed with remaining = {}", s.mem.peek(REM)));
         }
         Ok(())
@@ -437,151 +532,243 @@ impl NdModel for PoolModel {
 }
 
 impl PoolModel {
-    fn submitter_steps(&self, s: &PoolState) -> Steps<PoolState> {
-        let tid = 0;
-        match s.sub_pc {
-            0 => {
+    fn submitter_steps(&self, s: &PoolState, k: usize) -> Steps<PoolState> {
+        let tid = k;
+        let next = |st: &mut PoolState, pc: u8| st.sub_pc[k] = pc;
+        match s.sub_pc[k] {
+            sub::CLAIM => {
                 let mut st = s.clone();
-                st.mem = s.mem.store(tid, JOB, JOB_VAL, MemOrd::Release);
-                st.sub_pc = 1;
+                if self.bug == PoolBug::NoBusyRule {
+                    next(&mut st, sub::HANDLE);
+                    return Steps::Ready(vec![(Op::Local, st)]);
+                }
+                let (res, mem) = s.mem.cas(tid, BUSY, 0, 1, MemOrd::Acquire, MemOrd::Relaxed);
+                st.mem = mem;
+                match res {
+                    Ok(_) => {
+                        next(&mut st, sub::HANDLE);
+                        Steps::Ready(vec![(Op::CasOk(BUSY), st)])
+                    }
+                    Err(_) => {
+                        next(&mut st, sub::INLINE);
+                        Steps::Ready(vec![(Op::CasFail(BUSY), st)])
+                    }
+                }
+            }
+            sub::INLINE => {
+                // Busy: every lane runs inline on the caller.
+                let mut st = s.clone();
+                st.ran[k] = [1; LANES];
+                next(&mut st, sub::JOIN);
+                Steps::Ready(vec![(Op::Local, st)])
+            }
+            sub::HANDLE => {
+                let mut st = s.clone();
+                st.mem = s.mem.store(tid, SUBW, k as u64, MemOrd::Release);
+                next(&mut st, sub::STORE_JOB);
+                Steps::Ready(vec![(Op::Write(SUBW), st)])
+            }
+            sub::STORE_JOB => {
+                let mut st = s.clone();
+                st.mem = s.mem.store(tid, JOB, JOB_VAL + k as u64, MemOrd::Release);
+                next(&mut st, sub::STORE_REM);
                 Steps::Ready(vec![(Op::Write(JOB), st)])
             }
-            1 => {
+            sub::STORE_REM => {
                 let mut st = s.clone();
                 st.mem = s.mem.store(tid, REM, N_WORKERS as u64, MemOrd::Release);
-                st.sub_pc = 2;
+                next(&mut st, sub::BUMP_GEN);
                 Steps::Ready(vec![(Op::Write(REM), st)])
             }
-            2 => {
+            sub::BUMP_GEN => {
                 let ord = if self.bug == PoolBug::DroppedGenFence {
                     MemOrd::Relaxed
                 } else {
                     MemOrd::Release
                 };
-                let (_, mem) = s.mem.rmw(tid, GEN, ord, |v| v + 1);
+                let (old, mem) = s.mem.rmw(tid, GEN, ord, |v| v + 1);
                 let mut st = s.clone();
                 st.mem = mem;
-                st.sub_pc = 3;
+                st.gen_job[old as usize + 1] = JOB_VAL + k as u64;
+                next(&mut st, sub::UNPARK);
                 Steps::Ready(vec![(Op::CasOk(GEN), st)])
             }
-            pc @ (3 | 4) => {
-                let w = pc as usize - 3;
+            pc @ (sub::UNPARK | 7) => {
+                let w = (pc - sub::UNPARK) as usize;
                 let mut st = s.clone();
                 // The real code unparks every helper unconditionally;
                 // the LostUnpark mutant "optimizes" by only unparking
                 // helpers it observes as already parked.
-                let skip = self.bug == PoolBug::LostUnpark && s.w_pc[w] != 1;
+                let skip = self.bug == PoolBug::LostUnpark && s.w_pc[w] != helper::PARK;
                 if !skip {
-                    st.token[w] = true;
+                    st.token[w] |= 1 << tid;
                 }
-                st.sub_pc = pc + 1;
+                next(&mut st, pc + 1);
                 Steps::Ready(vec![(Op::Unpark(PoolModel::lot(w)), st)])
             }
-            5 => Steps::Ready(
+            sub::LANE0 => {
+                let mut st = s.clone();
+                st.ran[k][0] += 1;
+                next(&mut st, sub::LOAD_REM);
+                Steps::Ready(vec![(Op::Local, st)])
+            }
+            sub::LOAD_REM => Steps::Ready(
                 s.mem
                     .load(tid, REM, MemOrd::Acquire)
                     .into_iter()
                     .map(|(v, mem)| {
                         let mut st = s.clone();
                         st.mem = mem;
-                        st.sub_pc = if v == 0 { 7 } else { 6 };
+                        next(&mut st, if v == 0 { sub::RELEASE } else { sub::PARK });
                         (Op::Read(REM), st)
                     })
                     .collect(),
             ),
-            6 => {
-                if !s.sub_token {
+            sub::PARK => {
+                if s.sub_token[k] == 0 {
                     return Steps::Blocked;
                 }
                 let mut st = s.clone();
-                st.sub_token = false;
-                // park() returned because of unpark(): join the
-                // unparker's view (std guarantees this edge).
-                st.mem = s.mem.transfer(PoolModel::wtid(s.sub_token_from), 0);
-                st.sub_pc = 5;
-                Steps::Ready(vec![(Op::Park(SUB_LOT), st)])
+                st.sub_token[k] = 0;
+                st.mem = self.consume(&s.mem, s.sub_token[k], tid);
+                next(&mut st, sub::LOAD_REM);
+                Steps::Ready(vec![(Op::Park(PoolModel::sub_lot(k)), st)])
+            }
+            sub::RELEASE => {
+                let mut st = s.clone();
+                next(&mut st, sub::JOIN);
+                if self.bug == PoolBug::NoBusyRule {
+                    return Steps::Ready(vec![(Op::Local, st)]);
+                }
+                st.mem = s.mem.store(tid, BUSY, 0, MemOrd::Release);
+                Steps::Ready(vec![(Op::Write(BUSY), st)])
+            }
+            sub::JOIN => {
+                if k != 0 {
+                    let mut st = s.clone();
+                    next(&mut st, sub::DONE);
+                    return Steps::Ready(vec![(Op::Local, st)]);
+                }
+                // The pool's owner drops it after joining the others.
+                if s.sub_pc[1..self.submitters].iter().any(|&pc| pc != sub::DONE) {
+                    return Steps::Blocked;
+                }
+                let mut st = s.clone();
+                for other in 1..self.submitters {
+                    st.mem = st.mem.transfer(other, tid);
+                }
+                next(&mut st, sub::SHUTDOWN);
+                Steps::Ready(vec![(Op::Local, st)])
+            }
+            sub::SHUTDOWN => {
+                let mut st = s.clone();
+                st.mem = s.mem.store(tid, SHUT, 1, MemOrd::Release);
+                next(&mut st, sub::DROP_UNPARK);
+                Steps::Ready(vec![(Op::Write(SHUT), st)])
+            }
+            pc @ (sub::DROP_UNPARK | 15) => {
+                let w = (pc - sub::DROP_UNPARK) as usize;
+                let mut st = s.clone();
+                st.token[w] |= 1 << tid;
+                next(&mut st, pc + 1);
+                Steps::Ready(vec![(Op::Unpark(PoolModel::lot(w)), st)])
             }
             _ => Steps::Done,
         }
     }
 
     fn worker_steps(&self, s: &PoolState, w: usize) -> Steps<PoolState> {
-        let tid = PoolModel::wtid(w);
-        match s.w_pc[w] {
-            0 => Steps::Ready(
+        let tid = self.wtid(w);
+        let load = |loc: Loc, then: &dyn Fn(&mut PoolState, u64)| {
+            Steps::Ready(
                 s.mem
-                    .load(tid, GEN, MemOrd::Acquire)
+                    .load(tid, loc, MemOrd::Acquire)
                     .into_iter()
                     .map(|(v, mem)| {
                         let mut st = s.clone();
                         st.mem = mem;
-                        // gen == seen (0): nothing published yet from
-                        // this helper's point of view — head to park.
-                        st.w_pc[w] = if v == 0 { 1 } else { 2 };
-                        (Op::Read(GEN), st)
+                        then(&mut st, v);
+                        (Op::Read(loc), st)
                     })
                     .collect(),
-            ),
-            1 => {
-                if !s.token[w] {
+            )
+        };
+        match s.w_pc[w] {
+            helper::LOAD_GEN => load(GEN, &|st, v| {
+                if v == s.w_gen[w] {
+                    // Nothing new from this helper's point of view.
+                    st.w_pc[w] = helper::LOAD_SHUT;
+                } else {
+                    st.w_gen[w] = v;
+                    st.w_pc[w] = helper::LOAD_JOB;
+                }
+            }),
+            helper::LOAD_SHUT => load(SHUT, &|st, v| {
+                st.w_pc[w] = if v == 1 { helper::DONE } else { helper::PARK };
+            }),
+            helper::PARK => {
+                if s.token[w] == 0 {
                     return Steps::Blocked;
                 }
                 let mut st = s.clone();
-                st.token[w] = false;
-                st.mem = s.mem.transfer(0, tid);
-                st.w_pc[w] = 0;
+                st.token[w] = 0;
+                st.mem = self.consume(&s.mem, s.token[w], tid);
+                st.w_pc[w] = helper::LOAD_GEN;
                 Steps::Ready(vec![(Op::Park(PoolModel::lot(w)), st)])
             }
-            2 => Steps::Ready(
-                s.mem
-                    .load(tid, JOB, MemOrd::Acquire)
-                    .into_iter()
-                    .map(|(v, mem)| {
-                        let mut st = s.clone();
-                        st.mem = mem;
-                        st.seen_job[w] = v;
-                        st.w_pc[w] = 3;
-                        (Op::Read(JOB), st)
-                    })
-                    .collect(),
-            ),
-            3 => {
+            helper::LOAD_JOB => load(JOB, &|st, v| {
+                st.seen_job[w] = v;
+                st.w_pc[w] = helper::RUN;
+            }),
+            helper::RUN => {
                 let mut st = s.clone();
-                if self.panic_in == Some(w) {
-                    st.panicked = true;
+                if let Some(k) = s.seen_job[w].checked_sub(JOB_VAL) {
+                    st.ran[k as usize][1 + w] += 1;
+                }
+                st.w_pc[w] = helper::DECREMENT;
+                if self.panic_in == Some(w) && !s.panicked[w] {
+                    st.panicked[w] = true;
                     // The mutant forgets that a panicking job must
                     // still decrement `remaining`.
-                    st.w_pc[w] = if self.bug == PoolBug::PanicSkipsDecrement { 6 } else { 4 };
-                } else {
-                    st.w_pc[w] = 4;
+                    if self.bug == PoolBug::PanicSkipsDecrement {
+                        st.w_pc[w] = helper::LOAD_GEN;
+                    }
                 }
                 Steps::Ready(vec![(Op::Local, st)])
             }
-            4 => {
+            helper::DECREMENT => {
                 let (old, mem) = s.mem.rmw(tid, REM, MemOrd::AcqRel, |v| v.wrapping_sub(1));
                 let mut st = s.clone();
                 st.mem = mem;
                 if old == 0 {
                     st.underflow = true;
                 }
-                st.w_pc[w] = if old == 1 { 5 } else { 6 };
+                st.w_pc[w] = if old == 1 { helper::LOAD_HANDLE } else { helper::LOAD_GEN };
                 Steps::Ready(vec![(Op::CasOk(REM), st)])
             }
-            5 => {
+            helper::LOAD_HANDLE => load(SUBW, &|st, v| {
+                st.w_target[w] = v as usize;
+                st.w_pc[w] = helper::UNPARK_SUB;
+            }),
+            helper::UNPARK_SUB => {
+                let k = s.w_target[w];
                 let mut st = s.clone();
-                st.sub_token = true;
-                st.sub_token_from = w;
-                st.w_pc[w] = 6;
-                Steps::Ready(vec![(Op::Unpark(SUB_LOT), st)])
+                st.sub_token[k] |= 1 << tid;
+                st.w_pc[w] = helper::LOAD_GEN;
+                Steps::Ready(vec![(Op::Unpark(PoolModel::sub_lot(k)), st)])
             }
             _ => Steps::Done,
         }
     }
 }
 
+fn pool(bug: PoolBug, panic_in: Option<usize>, submitters: usize) -> PoolModel {
+    PoolModel { bug, panic_in, submitters }
+}
+
 #[test]
 fn core_pool_handshake_exhaustive_under_dpor() {
-    let r = check_dpor(&PoolModel { bug: PoolBug::None, panic_in: None }, DporOptions::default())
+    let r = check_dpor(&pool(PoolBug::None, None, 1), DporOptions::default())
         .unwrap_or_else(|v| panic!("CorePool handshake refuted: {v}"));
     assert!(r.complete);
     assert!(r.traces > 1, "park vs spin windows must both be explored ({r:?})");
@@ -591,15 +778,41 @@ fn core_pool_handshake_exhaustive_under_dpor() {
 fn core_pool_panic_mid_phase_window_still_drains() {
     // A worker panicking after reading the job: the real code
     // decrements anyway, so the handshake must still complete.
-    let r =
-        check_dpor(&PoolModel { bug: PoolBug::None, panic_in: Some(1) }, DporOptions::default())
-            .unwrap_or_else(|v| panic!("panic-mid-phase handling refuted: {v}"));
+    let r = check_dpor(&pool(PoolBug::None, Some(1), 1), DporOptions::default())
+        .unwrap_or_else(|v| panic!("panic-mid-phase handling refuted: {v}"));
     assert!(r.complete);
 }
 
 #[test]
+fn core_pool_two_submitters_exhaustive_under_dpor() {
+    // Two threads share one pool: the busy rule hands the job slot to
+    // one of them and runs the other's lanes inline, so every job runs
+    // every lane exactly once in every interleaving.
+    let r = check_dpor(&pool(PoolBug::None, None, 2), DporOptions::default())
+        .unwrap_or_else(|v| panic!("busy rule refuted: {v}"));
+    println!("two submitters: {r:?}");
+    assert!(r.complete);
+    assert!(r.traces > 1, "claim races must be explored ({r:?})");
+}
+
+#[test]
+fn core_pool_without_busy_rule_mutant_refuted() {
+    let m = pool(PoolBug::NoBusyRule, None, 2);
+    let v = check_dpor(&m, DporOptions::default()).expect_err("shared job slot must be refuted");
+    println!("no-busy-rule counterexample: {v}");
+    match &v {
+        NdVerdict::InvariantViolated { trace, state, .. } => {
+            let states = replay_nd(&m, trace);
+            assert_eq!(states.last(), Some(state));
+        }
+        NdVerdict::Deadlock { .. } => {}
+        other => panic!("expected a violation or a deadlock, got {other}"),
+    }
+}
+
+#[test]
 fn core_pool_dropped_gen_fence_mutant_refuted() {
-    let m = PoolModel { bug: PoolBug::DroppedGenFence, panic_in: None };
+    let m = pool(PoolBug::DroppedGenFence, None, 1);
     let v = check_dpor(&m, DporOptions::default()).expect_err("relaxed gen bump must leak");
     println!("dropped-fence counterexample: {v}");
     match &v {
@@ -614,7 +827,7 @@ fn core_pool_dropped_gen_fence_mutant_refuted() {
 
 #[test]
 fn core_pool_lost_unpark_mutant_deadlocks() {
-    let m = PoolModel { bug: PoolBug::LostUnpark, panic_in: None };
+    let m = pool(PoolBug::LostUnpark, None, 1);
     let v = check_dpor(&m, DporOptions::default()).expect_err("lost wakeup must wedge the pool");
     println!("lost-unpark counterexample: {v}");
     assert!(
@@ -625,7 +838,7 @@ fn core_pool_lost_unpark_mutant_deadlocks() {
 
 #[test]
 fn core_pool_panic_skips_decrement_mutant_deadlocks() {
-    let m = PoolModel { bug: PoolBug::PanicSkipsDecrement, panic_in: Some(0) };
+    let m = pool(PoolBug::PanicSkipsDecrement, Some(0), 1);
     let v = check_dpor(&m, DporOptions::default()).expect_err("skipped decrement must wedge");
     println!("panic-skips-decrement counterexample: {v}");
     assert!(matches!(v, NdVerdict::Deadlock { .. }), "got {v}");
@@ -862,6 +1075,7 @@ fn preemption_bounded_fallback_still_refutes_every_mutant() {
         opts
     )
     .is_err());
-    assert!(check_dpor(&PoolModel { bug: PoolBug::DroppedGenFence, panic_in: None }, opts).is_err());
+    assert!(check_dpor(&pool(PoolBug::DroppedGenFence, None, 1), opts).is_err());
+    assert!(check_dpor(&pool(PoolBug::NoBusyRule, None, 2), opts).is_err());
     assert!(check_dpor(&TileModel { bug: TileBug::RelaxedFetchSub }, opts).is_err());
 }

@@ -192,8 +192,7 @@ impl PeerConn {
 
         let read_stream = stream.try_clone()?;
         let shutdown_handle = stream.try_clone()?;
-        let writer =
-            Arc::new(Mutex::new(WriteHalf { stream, scratch: Vec::new(), broken: false }));
+        let writer = Arc::new(Mutex::new(WriteHalf { stream, scratch: Vec::new(), broken: false }));
         {
             let ring = Arc::clone(&ring);
             let pool = Arc::clone(&pool);
