@@ -1,12 +1,12 @@
-//! Criterion benchmarks of the convolution kernels: the cache-blocked
-//! im2col + tiled-matmul path against the retained naive reference, at
+//! Criterion benchmarks of the convolution kernels: the direct kernels
+//! over a zero-bordered input against the retained naive reference, at
 //! the SegNet layer shapes and at a larger feature map.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use trainer::real::net::{
-    conv_backward, conv_forward, im2col_len, reference_conv_backward, reference_conv_forward,
+    conv_backward, conv_forward, pad_len, reference_conv_backward, reference_conv_forward,
 };
 
 /// (label, h, w, cin, cout, k) — layers 1 and 2 of the default net plus
@@ -30,7 +30,7 @@ fn bench_forward(c: &mut Criterion) {
         let weights: Vec<f32> = (0..cout * cin * k * k).map(det).collect();
         let bias: Vec<f32> = (0..cout).map(det).collect();
         let mut out = vec![0.0f32; cout * npix];
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
+        let mut xpad = vec![0.0f32; pad_len(cin, h, w, k)];
         g.bench_with_input(BenchmarkId::new("optimized", label), &(), |b, ()| {
             b.iter(|| {
                 conv_forward(
@@ -43,7 +43,7 @@ fn bench_forward(c: &mut Criterion) {
                     k,
                     cout,
                     false,
-                    &mut cols,
+                    &mut xpad,
                     &mut out,
                 );
                 black_box(out[0])
@@ -77,10 +77,10 @@ fn bench_backward(c: &mut Criterion) {
         let weights: Vec<f32> = (0..cout * cin * k * k).map(det).collect();
         let bias: Vec<f32> = (0..cout).map(det).collect();
         let dout: Vec<f32> = (0..cout * npix).map(det).collect();
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
+        let mut xpad = vec![0.0f32; pad_len(cin, h, w, k)];
         let mut out = vec![0.0f32; cout * npix];
-        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut cols, &mut out);
-        let mut dcols = vec![0.0f32; cols.len()];
+        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut xpad, &mut out);
+        let mut dpad = vec![0.0f32; pad_len(cout, h, w, k)];
         let mut dw = vec![0.0f32; weights.len()];
         let mut db = vec![0.0f32; cout];
         let mut din = vec![0.0f32; input.len()];
@@ -98,8 +98,8 @@ fn bench_backward(c: &mut Criterion) {
                     k,
                     cout,
                     &dout,
-                    &cols,
-                    &mut dcols,
+                    &xpad,
+                    &mut dpad,
                     &mut dw,
                     &mut db,
                     Some(&mut din),

@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the single-worker training step: the
 //! workspace-reusing optimized gradient path against the retained naive
-//! reference, plus the pooled data-parallel allreduce step.
+//! reference, the evaluation forward with and without a reused
+//! workspace, plus the pooled data-parallel allreduce step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -39,6 +40,25 @@ fn bench_sample_grad(c: &mut Criterion) {
     });
     g.bench_function("reference", |b| {
         b.iter(|| black_box(net.reference_loss_grad(black_box(sample))));
+    });
+    g.finish();
+}
+
+fn bench_predict(c: &mut Criterion) {
+    let (data, cfg) = paper_cfg();
+    let net = SegNet::new(cfg, 42);
+    let sample = &generate_batch(&data, 42, 0, 1)[0];
+    let mut g = c.benchmark_group("predict");
+    let mut ws = Workspace::new(&cfg);
+    let mut pred = vec![0u8; cfg.height * cfg.width];
+    g.bench_function("predict_into_workspace", |b| {
+        b.iter(|| {
+            net.predict_into(black_box(&sample.pixels), &mut ws, &mut pred);
+            black_box(pred[0])
+        });
+    });
+    g.bench_function("predict_allocating", |b| {
+        b.iter(|| black_box(net.predict(black_box(&sample.pixels))));
     });
     g.finish();
 }
@@ -94,5 +114,11 @@ fn bench_gradient_allreduce(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sample_grad, bench_batch_step, bench_gradient_allreduce);
+criterion_group!(
+    benches,
+    bench_sample_grad,
+    bench_predict,
+    bench_batch_step,
+    bench_gradient_allreduce
+);
 criterion_main!(benches);

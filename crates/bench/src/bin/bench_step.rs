@@ -27,7 +27,9 @@
 //!
 //! `--quick` shrinks warmup/measure step counts for CI smoke runs;
 //! `--check` fails (exit 1) if `optimized_workspace` regressed by more
-//! than 20% against the committed `BENCH_step.json` baseline.
+//! than 20% against the newest committed `BENCH_step.json` run with the
+//! same `cores`. With no such run it says so and passes, and this run
+//! becomes the baseline for that core count.
 
 use std::time::Instant;
 
@@ -110,6 +112,21 @@ fn extract_ns_per_step(src: &str, variant: &str) -> Option<f64> {
     number_after(src, &format!("\"{variant}\""), "ns_per_step")
 }
 
+/// `optimized_workspace` ns/step of the newest run recorded on `cores`
+/// cores: `latest` first, then `history` from newest to oldest. A run on
+/// another core count is no baseline for this one, and neither is a
+/// pre-schema entry (its `cores` is the unknown marker 0).
+fn baseline_for_cores(src: &str, cores: usize) -> Option<f64> {
+    let mut entries: Vec<&str> = extract_value(src, "latest").into_iter().collect();
+    if let Some(h) = extract_value(src, "history") {
+        entries.extend(array_items(h).into_iter().rev());
+    }
+    entries
+        .into_iter()
+        .find(|e| number_after(e, "\"cores\"", "cores") == Some(cores as f64))
+        .and_then(|e| extract_ns_per_step(e, "optimized_workspace"))
+}
+
 /// Normalize one history entry to the current schema: pre-history
 /// entries (the folded flat-format file) lack `date` and `cores`, which
 /// would make them silently unusable to any consumer that keys on
@@ -153,8 +170,7 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let previous = std::fs::read_to_string("BENCH_step.json").ok();
-    let baseline_ns =
-        previous.as_deref().and_then(|s| extract_ns_per_step(s, "optimized_workspace"));
+    let baseline_ns = previous.as_deref().and_then(|s| baseline_for_cores(s, cores));
 
     let data = DataConfig::default();
     let cfg = NetConfig {
@@ -311,9 +327,9 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            None => eprintln!(
-                "  warning: regression check SKIPPED — no parsable \
-                 optimized_workspace baseline in BENCH_step.json"
+            None => println!(
+                "  regression check: no optimized_workspace baseline recorded on {cores} \
+                 core(s) in BENCH_step.json; this run is now that baseline"
             ),
         }
     }
@@ -360,5 +376,30 @@ mod tests {
             compact_json(LEGACY)
         );
         assert_eq!(extract_ns_per_step(&current, "optimized_workspace"), Some(1300000.0));
+    }
+
+    #[test]
+    fn baseline_is_the_newest_run_on_the_same_core_count() {
+        let run = |cores: usize, ns: u64| {
+            format!(
+                "{{\"date\": \"2026-01-01\", \"cores\": {cores}, \"variants\": [{{\"variant\": \
+                 \"optimized_workspace\", \"ns_per_step\": {ns}}}]}}"
+            )
+        };
+        let (legacy, _) = normalize_history_entry(&compact_json(LEGACY));
+        // History runs oldest to newest; `latest` is newer than all of it.
+        let doc = format!(
+            "{{\"bench\": \"BENCH_step\", \"latest\": {}, \"history\": [{legacy}, {}, {}, {}]}}",
+            run(1, 1_339_788),
+            run(2, 950_000),
+            run(1, 1_400_000),
+            run(2, 900_000),
+        );
+        assert_eq!(baseline_for_cores(&doc, 1), Some(1_339_788.0));
+        assert_eq!(baseline_for_cores(&doc, 2), Some(900_000.0));
+        // No run on this core count, and the legacy entry's unknown
+        // marker matches nothing.
+        assert_eq!(baseline_for_cores(&doc, 4), None);
+        assert_eq!(baseline_for_cores(LEGACY, 1), None);
     }
 }

@@ -15,15 +15,21 @@
 //! borrows, so the optimizer and the gradient allreduce operate on the
 //! storage in place, with no gather/scatter copies per step.
 //!
-//! Convolutions run as **im2col + register-blocked matmul**
-//! ([`im2col`], `matmul_bias` / `matmul_dw` / `matmul_t_acc`): im2col
-//! hoists the boundary handling out of the inner loops, and the matmul
-//! kernels process four output rows per pass over a pixel tile so the
-//! compiler autovectorizes clean FMA loops. The original naive loops are
-//! retained as [`reference_conv_forward`] / [`reference_conv_backward`]
-//! and property-tested equivalent (see `conv_proptests`).
+//! Convolutions run as **direct kernels over a zero-bordered input**
+//! ([`conv_forward`] / [`conv_backward`]): each k×k layer input is
+//! copied once per sample into a `(h+2p)×(w+2p)` plane per channel
+//! (`pad_into`), so every tap is a shifted row load and the inner
+//! loops carry no boundary branch. The forward and the weight gradient
+//! both read that copy; the input gradient reads a bordered copy of the
+//! output gradient and accumulates each tap straight into its result.
+//! The 1×1 head is the `p = 0` case of the same kernels. Every kernel
+//! has an AVX2+FMA version and a scalar twin behind runtime dispatch,
+//! each with a fixed per-element summation order. The original naive
+//! loops are retained as [`reference_conv_forward`] /
+//! [`reference_conv_backward`] and property-tested equivalent (see
+//! `conv_proptests`).
 //!
-//! All per-sample scratch (activations, gradients, im2col matrices)
+//! All per-sample scratch (activations, gradients, bordered copies)
 //! lives in a reusable [`Workspace`]; [`SegNet::loss_grad_acc`]
 //! performs **zero heap allocations**, and [`SegNet::batch_loss_grad_ws`]
 //! folds a batch into per-lane workspaces ([`BatchWorkspace`]) on the
@@ -254,433 +260,182 @@ pub fn reference_conv_backward(
 }
 
 // --------------------------------------------------------------- optimized
-// im2col + register-blocked matmul kernels. Shapes: `cols` is the
-// unrolled-patch matrix, `rdim = cin·k²` rows of `npix = h·w` pixels.
+// Direct convolution kernels. A k×k kernel reads its spatial operand
+// from a zero-bordered copy, `(h+2p)×(w+2p)` per channel with
+// `p = k/2`, so every tap is a shifted row load and no inner loop has a
+// boundary branch; a 1×1 convolution has `p = 0` and reads the plain
+// planes. Output and gradient planes stay unbordered `h×w`.
+//
+// The AVX2 kernels walk the flat index `y·w+x` in groups of eight
+// pixels (see `px8!` for groups that straddle rows or run past the
+// last pixel). Each kernel fixes one summation order per output
+// element, stated on its doc, and a border zero adds exactly `+0`, so
+// the AVX2 kernels and their scalar twins give the same bits on every
+// shape as the order they state.
 
-/// Pixel-tile width of the blocked matmul kernels: one 2 KiB cols/dout
-/// row segment plus four output-row segments stay resident in L1 while
-/// the reduction dimension streams past.
-const PIXEL_TILE: usize = 512;
-
-/// Length of the im2col matrix for a `cin`-channel, `k×k` convolution
-/// over `npix` pixels.
-pub fn im2col_len(cin: usize, k: usize, npix: usize) -> usize {
-    cin * k * k * npix
-}
-
-/// Unroll same-padded `k×k` patches: `cols[(i·k+dy)·k+dx, y·w+x] =
-/// input[i, y+dy-p, x+dx-p]` (zero outside the image). Row-shifted
-/// memcpys, so the matmul kernels never see a boundary branch.
-// lint: hot-path
-// lint: no-f64
-pub fn im2col(input: &[f32], cin: usize, h: usize, w: usize, k: usize, cols: &mut [f32]) {
-    let npix = h * w;
-    debug_assert_eq!(input.len(), cin * npix);
-    debug_assert_eq!(cols.len(), im2col_len(cin, k, npix));
-    let p = k / 2;
-    let mut rows = cols.chunks_exact_mut(npix);
-    for i in 0..cin {
-        let chan = &input[i * npix..(i + 1) * npix];
-        for dy in 0..k {
-            let oy = dy as isize - p as isize;
-            for dx in 0..k {
-                let ox = dx as isize - p as isize;
-                let row = rows.next().expect("cols row per (i, dy, dx)"); // lint: allow(unwrap): chunks_exact_mut yields ci*k*k rows
-                for y in 0..h {
-                    let dst = &mut row[y * w..(y + 1) * w];
-                    let sy = y as isize + oy;
-                    if sy < 0 || sy >= h as isize {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src = &chan[(sy as usize) * w..(sy as usize + 1) * w];
-                    if ox >= 0 {
-                        let ox = ox as usize;
-                        let n = w - ox;
-                        dst[..n].copy_from_slice(&src[ox..]);
-                        dst[n..].fill(0.0);
-                    } else {
-                        let sx = (-ox) as usize;
-                        let n = w - sx;
-                        dst[..sx].fill(0.0);
-                        dst[sx..].copy_from_slice(&src[..n]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Inverse scatter of [`im2col`]: `dinput[i, y+dy-p, x+dx-p] +=
-/// dcols[(i·k+dy)·k+dx, y·w+x]`, accumulating into `dinput`.
-// lint: hot-path
-// lint: no-f64
-pub fn col2im_acc(dcols: &[f32], cin: usize, h: usize, w: usize, k: usize, dinput: &mut [f32]) {
-    let npix = h * w;
-    debug_assert_eq!(dinput.len(), cin * npix);
-    debug_assert_eq!(dcols.len(), im2col_len(cin, k, npix));
-    let p = k / 2;
-    let mut rows = dcols.chunks_exact(npix);
-    for i in 0..cin {
-        let chan = &mut dinput[i * npix..(i + 1) * npix];
-        for dy in 0..k {
-            let oy = dy as isize - p as isize;
-            for dx in 0..k {
-                let ox = dx as isize - p as isize;
-                let row = rows.next().expect("dcols row per (i, dy, dx)"); // lint: allow(unwrap): chunks_exact yields ci*k*k rows
-                for y in 0..h {
-                    let sy = y as isize + oy;
-                    if sy < 0 || sy >= h as isize {
-                        continue;
-                    }
-                    let src = &row[y * w..(y + 1) * w];
-                    let dst = &mut chan[(sy as usize) * w..(sy as usize + 1) * w];
-                    if ox >= 0 {
-                        let ox = ox as usize;
-                        let n = w - ox;
-                        for (d, s) in dst[ox..].iter_mut().zip(&src[..n]) {
-                            *d += *s;
-                        }
-                    } else {
-                        let sx = (-ox) as usize;
-                        let n = w - sx;
-                        for (d, s) in dst[..n].iter_mut().zip(&src[sx..]) {
-                            *d += *s;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Four disjoint `npix`-wide rows of `buf` starting at row `o`.
-// lint: hot-path
-// lint: no-f64
+/// Border width, bordered row stride and bordered plane length of a
+/// same-padded `k×k` convolution over `h×w` planes.
 #[inline]
-fn four_rows(buf: &mut [f32], npix: usize, o: usize) -> [&mut [f32]; 4] {
-    let rest = &mut buf[o * npix..];
-    let (r0, rest) = rest.split_at_mut(npix);
-    let (r1, rest) = rest.split_at_mut(npix);
-    let (r2, rest) = rest.split_at_mut(npix);
-    let (r3, _) = rest.split_at_mut(npix);
-    [r0, r1, r2, r3]
+fn bordered(h: usize, w: usize, k: usize) -> (usize, usize, usize) {
+    let p = k / 2;
+    let wp = w + 2 * p;
+    (p, wp, (h + 2 * p) * wp)
 }
 
-/// `out[o, p] = bias[o] + Σ_r w[o, r]·cols[r, p]` (then optional ReLU)
-/// — the forward matmul, scalar twin of [`matmul_bias_avx2`].
-///
-/// Blocked two ways: pixel tiles of [`PIXEL_TILE`] keep the working set
-/// in L1, and four output rows advance together so each cols element
-/// loaded feeds four FMAs.
+/// Offset of tap `r = (i·k + dy)·k + dx` in a set of bordered planes:
+/// where the tap reads for the output pixel at the origin.
+#[inline]
+fn tap_offset(r: usize, k: usize, wp: usize, plane: usize) -> usize {
+    let (i, t) = (r / (k * k), r % (k * k));
+    i * plane + (t / k) * wp + t % k
+}
+
+/// Length of `c` zero-bordered planes for a `k×k` convolution over
+/// `h×w` pixels: `c·(h+2p)·(w+2p)` with `p = k/2`.
+pub fn pad_len(c: usize, h: usize, w: usize, k: usize) -> usize {
+    c * bordered(h, w, k).2
+}
+
+/// Copy `c` planes of `h×w` pixels into `dst` with a zero border of
+/// `k/2` on every side. Writes all of `dst`.
 // lint: hot-path
 // lint: no-f64
-#[allow(clippy::too_many_arguments)]
-fn matmul_bias_scalar(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
-    debug_assert_eq!(out.len(), cout * npix);
-    debug_assert_eq!(bias.len(), cout);
-    for (o, row) in out.chunks_exact_mut(npix).enumerate() {
-        row.fill(bias[o]);
-    }
-    let mut p0 = 0;
-    while p0 < npix {
-        let pt = PIXEL_TILE.min(npix - p0);
-        let mut o = 0;
-        while o + 4 <= cout {
-            let [r0, r1, r2, r3] = four_rows(out, npix, o);
-            let (t0, t1, t2, t3) = (
-                &mut r0[p0..p0 + pt],
-                &mut r1[p0..p0 + pt],
-                &mut r2[p0..p0 + pt],
-                &mut r3[p0..p0 + pt],
-            );
-            for r in 0..rdim {
-                let c = &cols[r * npix + p0..r * npix + p0 + pt];
-                let w0 = w[o * rdim + r];
-                let w1 = w[(o + 1) * rdim + r];
-                let w2 = w[(o + 2) * rdim + r];
-                let w3 = w[(o + 3) * rdim + r];
-                for p in 0..pt {
-                    let cv = c[p];
-                    t0[p] += w0 * cv;
-                    t1[p] += w1 * cv;
-                    t2[p] += w2 * cv;
-                    t3[p] += w3 * cv;
-                }
-            }
-            o += 4;
+fn pad_into(src: &[f32], c: usize, h: usize, w: usize, k: usize, dst: &mut [f32]) {
+    let (p, wp, plane) = bordered(h, w, k);
+    debug_assert_eq!(src.len(), c * h * w);
+    debug_assert_eq!(dst.len(), c * plane);
+    for (s, d) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(plane)) {
+        d[..p * wp].fill(0.0);
+        for (y, row) in s.chunks_exact(w).enumerate() {
+            let drow = &mut d[(y + p) * wp..(y + p + 1) * wp];
+            drow[..p].fill(0.0);
+            drow[p..p + w].copy_from_slice(row);
+            drow[p + w..].fill(0.0);
         }
-        while o < cout {
-            let t = &mut out[o * npix + p0..o * npix + p0 + pt];
-            for r in 0..rdim {
-                let c = &cols[r * npix + p0..r * npix + p0 + pt];
-                let wv = w[o * rdim + r];
-                for p in 0..pt {
-                    t[p] += wv * c[p];
-                }
-            }
-            o += 1;
-        }
-        p0 += pt;
-    }
-    if relu {
-        out.iter_mut().for_each(|x| *x = x.max(0.0));
+        d[(h + p) * wp..].fill(0.0);
     }
 }
 
-/// AVX2+FMA twin of [`matmul_bias_scalar`]: a 4-output-row ×
-/// 16-pixel register tile (8 YMM accumulators seeded with the bias)
-/// with the reduction dimension streaming through broadcasts, ReLU
-/// applied in-register before the single store of each output block.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available (dispatch through
-/// [`simd::have_avx2_fma`]).
-// lint: hot-path
-// lint: no-f64
+/// An eight-pixel group of the flat index `y·w + x`: its first flat
+/// index `p`, the bordered offset `row = y·wp` of its first row, and
+/// its first column `x0`. The last group of a plane is partial when
+/// `h·w` is not a multiple of 8.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn matmul_bias_avx2(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
-    debug_assert_eq!(out.len(), cout * npix);
-    debug_assert_eq!(bias.len(), cout);
-    let wp = w.as_ptr();
-    let cp = cols.as_ptr();
-    let op = out.as_mut_ptr();
-    let zero = _mm256_setzero_ps();
-    let mut o = 0;
-    while o + 4 <= cout {
-        let b0 = _mm256_set1_ps(*bias.get_unchecked(o));
-        let b1 = _mm256_set1_ps(*bias.get_unchecked(o + 1));
-        let b2 = _mm256_set1_ps(*bias.get_unchecked(o + 2));
-        let b3 = _mm256_set1_ps(*bias.get_unchecked(o + 3));
-        let mut p = 0;
-        while p + 16 <= npix {
-            let mut a00 = b0;
-            let mut a01 = b0;
-            let mut a10 = b1;
-            let mut a11 = b1;
-            let mut a20 = b2;
-            let mut a21 = b2;
-            let mut a30 = b3;
-            let mut a31 = b3;
-            for r in 0..rdim {
-                let c0 = _mm256_loadu_ps(cp.add(r * npix + p));
-                let c1 = _mm256_loadu_ps(cp.add(r * npix + p + 8));
-                let w0 = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a00 = _mm256_fmadd_ps(w0, c0, a00);
-                a01 = _mm256_fmadd_ps(w0, c1, a01);
-                let w1 = _mm256_set1_ps(*wp.add((o + 1) * rdim + r));
-                a10 = _mm256_fmadd_ps(w1, c0, a10);
-                a11 = _mm256_fmadd_ps(w1, c1, a11);
-                let w2 = _mm256_set1_ps(*wp.add((o + 2) * rdim + r));
-                a20 = _mm256_fmadd_ps(w2, c0, a20);
-                a21 = _mm256_fmadd_ps(w2, c1, a21);
-                let w3 = _mm256_set1_ps(*wp.add((o + 3) * rdim + r));
-                a30 = _mm256_fmadd_ps(w3, c0, a30);
-                a31 = _mm256_fmadd_ps(w3, c1, a31);
-            }
-            if relu {
-                a00 = _mm256_max_ps(a00, zero);
-                a01 = _mm256_max_ps(a01, zero);
-                a10 = _mm256_max_ps(a10, zero);
-                a11 = _mm256_max_ps(a11, zero);
-                a20 = _mm256_max_ps(a20, zero);
-                a21 = _mm256_max_ps(a21, zero);
-                a30 = _mm256_max_ps(a30, zero);
-                a31 = _mm256_max_ps(a31, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a00);
-            _mm256_storeu_ps(op.add(o * npix + p + 8), a01);
-            _mm256_storeu_ps(op.add((o + 1) * npix + p), a10);
-            _mm256_storeu_ps(op.add((o + 1) * npix + p + 8), a11);
-            _mm256_storeu_ps(op.add((o + 2) * npix + p), a20);
-            _mm256_storeu_ps(op.add((o + 2) * npix + p + 8), a21);
-            _mm256_storeu_ps(op.add((o + 3) * npix + p), a30);
-            _mm256_storeu_ps(op.add((o + 3) * npix + p + 8), a31);
-            p += 16;
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    p: usize,
+    row: usize,
+    x0: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Group {
+    const FIRST: Group = Group { p: 0, row: 0, x0: 0 };
+
+    /// The next group along the flat index.
+    #[inline]
+    fn next(self, w: usize, wp: usize) -> Group {
+        let (mut row, mut x0) = (self.row, self.x0 + 8);
+        while x0 >= w {
+            x0 -= w;
+            row += wp;
         }
-        while p + 8 <= npix {
-            let mut a0 = b0;
-            let mut a1 = b1;
-            let mut a2 = b2;
-            let mut a3 = b3;
-            for r in 0..rdim {
-                let c = _mm256_loadu_ps(cp.add(r * npix + p));
-                a0 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r)), c, a0);
-                a1 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add((o + 1) * rdim + r)), c, a1);
-                a2 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add((o + 2) * rdim + r)), c, a2);
-                a3 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add((o + 3) * rdim + r)), c, a3);
-            }
-            if relu {
-                a0 = _mm256_max_ps(a0, zero);
-                a1 = _mm256_max_ps(a1, zero);
-                a2 = _mm256_max_ps(a2, zero);
-                a3 = _mm256_max_ps(a3, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a0);
-            _mm256_storeu_ps(op.add((o + 1) * npix + p), a1);
-            _mm256_storeu_ps(op.add((o + 2) * npix + p), a2);
-            _mm256_storeu_ps(op.add((o + 3) * npix + p), a3);
-            p += 8;
-        }
-        while p < npix {
-            for j in 0..4 {
-                let mut acc = *bias.get_unchecked(o + j);
-                for r in 0..rdim {
-                    acc = (*wp.add((o + j) * rdim + r)).mul_add(*cp.add(r * npix + p), acc);
-                }
-                if relu {
-                    acc = acc.max(0.0);
-                }
-                *op.add((o + j) * npix + p) = acc;
-            }
-            p += 1;
-        }
-        o += 4;
+        Group { p: self.p + 8, row, x0 }
     }
-    while o < cout {
-        let bo = _mm256_set1_ps(*bias.get_unchecked(o));
-        let mut p = 0;
-        while p + 16 <= npix {
-            let mut a0 = bo;
-            let mut a1 = bo;
-            for r in 0..rdim {
-                let wv = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(cp.add(r * npix + p)), a0);
-                a1 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(cp.add(r * npix + p + 8)), a1);
-            }
-            if relu {
-                a0 = _mm256_max_ps(a0, zero);
-                a1 = _mm256_max_ps(a1, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a0);
-            _mm256_storeu_ps(op.add(o * npix + p + 8), a1);
-            p += 16;
+
+    /// The register tile starting at this group: up to [`TILE`] groups
+    /// below the flat index `npix`, and how many there are. Slots past
+    /// the end repeat the last group; kernels compute them and never
+    /// store them.
+    #[inline]
+    fn tile(self, npix: usize, w: usize, wp: usize) -> ([Group; TILE], usize) {
+        let n = (npix - self.p).div_ceil(8).min(TILE);
+        let mut gs = [self; TILE];
+        for q in 1..TILE {
+            gs[q] = if q < n { gs[q - 1].next(w, wp) } else { gs[q - 1] };
         }
-        while p + 8 <= npix {
-            let mut a0 = bo;
-            for r in 0..rdim {
-                let wv = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(cp.add(r * npix + p)), a0);
+        (gs, n)
+    }
+
+    /// Bordered offsets of the group's eight pixels from the start of
+    /// their plane. Lanes past pixel `npix - 1` repeat it, so a gather
+    /// through these offsets stays in bounds.
+    fn lane_offsets(self, w: usize, wp: usize, npix: usize) -> [i32; 8] {
+        let mut offs = [0i32; 8];
+        let (mut row, mut x) = (self.row, self.x0);
+        for (l, off) in offs.iter_mut().enumerate() {
+            *off = i32::try_from(row + x).expect("plane offsets fit an i32 gather index"); // lint: allow(unwrap): planes are far below 2^31 floats
+            if self.p + l + 1 < npix {
+                x += 1;
+                if x == w {
+                    x = 0;
+                    row += wp;
+                }
             }
-            if relu {
-                a0 = _mm256_max_ps(a0, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a0);
-            p += 8;
         }
-        while p < npix {
-            let mut acc = *bias.get_unchecked(o);
-            for r in 0..rdim {
-                acc = (*wp.add(o * rdim + r)).mul_add(*cp.add(r * npix + p), acc);
-            }
-            if relu {
-                acc = acc.max(0.0);
-            }
-            *op.add(o * npix + p) = acc;
-            p += 1;
-        }
-        o += 1;
+        offs
     }
 }
 
-/// Runtime dispatch over the [`matmul_bias_scalar`] /
-/// [`matmul_bias_avx2`] twins. `relu` fuses the activation into the
-/// same pass (one store per output element instead of a second sweep).
-// lint: hot-path
-// lint: no-f64
-#[allow(clippy::too_many_arguments)]
-fn matmul_bias(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx2_fma() {
-        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_bias_avx2(w, cols, rdim, npix, cout, bias, relu, out) };
-        return;
-    }
-    matmul_bias_scalar(w, cols, rdim, npix, cout, bias, relu, out);
-}
-
-/// Eight-lane dot product: independent partial sums so the reduction
-/// autovectorizes (a strict sequential sum cannot be reassociated).
-// lint: hot-path
-// lint: no-f64
+/// Whether every eight-pixel group lies within one row: then a group
+/// is one plain load (`px8!(contiguous, ..)`) and each row holds whole
+/// groups. The 1×1 kernels always qualify, their planes being one row.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0.0f32; 8];
-    for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        for l in 0..8 {
-            lanes[l] += ca[l] * cb[l];
-        }
-    }
-    let rem = a.len() - a.len() % 8;
-    let mut tail = 0.0f32;
-    for (x, y) in a[rem..].iter().zip(&b[rem..]) {
-        tail += x * y;
-    }
-    lanes.iter().sum::<f32>() + tail
+fn groups_in_rows(h: usize, w: usize) -> bool {
+    w.is_multiple_of(8) || h == 1
 }
 
-/// `dw[o, r] += Σ_p dout[o, p]·cols[r, p]` — the weight-gradient
-/// matmul, scalar twin of [`matmul_dw_avx2`].
-///
-/// Loop order keeps each cols row L1-hot across all `cout` dot products.
-// lint: hot-path
-// lint: no-f64
-fn matmul_dw_scalar(
-    dout: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    dw: &mut [f32],
-) {
-    debug_assert_eq!(dw.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
-    debug_assert_eq!(dout.len(), cout * npix);
-    for r in 0..rdim {
-        let c = &cols[r * npix..(r + 1) * npix];
-        for o in 0..cout {
-            dw[o * rdim + r] += dot(&dout[o * npix..(o + 1) * npix], c);
+/// Pixel groups per register tile of the forward and input-gradient
+/// kernels: 4 channels × 2 groups = 8 YMM accumulators, which leaves
+/// registers for the loads and broadcasts (12 accumulators spill).
+#[cfg(target_arch = "x86_64")]
+const TILE: usize = 2;
+
+/// The eight words from `LANE_MASK[8 - n]` set lanes `0..n`.
+#[cfg(target_arch = "x86_64")]
+static LANE_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// A YMM mask with lanes `0..$n` set (`$n` in `1..=8`).
+#[cfg(target_arch = "x86_64")]
+macro_rules! first_lanes {
+    ($n:expr) => {
+        _mm256_loadu_si256(LANE_MASK.as_ptr().add(8 - $n).cast())
+    };
+}
+
+/// Load the eight pixels of group `$g` from the bordered plane at
+/// `$base` (channel and tap offsets already applied), row stride `$wp`,
+/// `$w` pixels per row. The mode is chosen once per call or tile:
+/// `contiguous` when every group lies in one row ([`groups_in_rows`]):
+/// one load; `straddle` for full groups of a plane at least 8 wide: a
+/// group that runs past the row end continues on the next row
+/// `wp - w` floats further on, two loads and a blend; `gather` for any
+/// group, through its [`Group::lane_offsets`] in `$idx` — the partial
+/// last group, and planes narrower than 8 where a group may span more
+/// rows.
+#[cfg(target_arch = "x86_64")]
+macro_rules! px8 {
+    (contiguous, $base:expr, $g:expr, $idx:expr, $w:expr, $wp:expr) => {
+        _mm256_loadu_ps($base.add($g.row + $g.x0))
+    };
+    (straddle, $base:expr, $g:expr, $idx:expr, $w:expr, $wp:expr) => {{
+        let (base, g, w, wp): (*const f32, Group, usize, usize) = ($base, $g, $w, $wp);
+        let at = base.add(g.row + g.x0);
+        if g.x0 + 8 <= w {
+            _mm256_loadu_ps(at)
+        } else {
+            let this_row = _mm256_castsi256_ps(first_lanes!(w - g.x0));
+            _mm256_blendv_ps(_mm256_loadu_ps(at.add(wp - w)), _mm256_loadu_ps(at), this_row)
         }
-    }
+    }};
+    (gather, $base:expr, $g:expr, $idx:expr, $w:expr, $wp:expr) => {
+        _mm256_i32gather_ps::<4>($base, $idx)
+    };
 }
 
 /// Sum the eight lanes of a YMM register through a stack spill — the
-/// same reassociation as the scalar [`dot`]'s `lanes.iter().sum()`.
+/// same reassociation as the scalar twin's `lanes.iter().sum()`.
 #[cfg(target_arch = "x86_64")]
 macro_rules! hsum8 {
     ($v:expr) => {{
@@ -690,10 +445,63 @@ macro_rules! hsum8 {
     }};
 }
 
-/// AVX2+FMA twin of [`matmul_dw_scalar`]: a 4-output-channel ×
-/// 2-reduction-row block keeps 8 YMM accumulators live while the pixel
-/// dimension streams; each accumulator collapses to one `dw` entry at
-/// block end, so the inner loop has no horizontal operations.
+/// Forward: `out[o, y, x] = bias[o] + Σ_{i,dy,dx} w[o,i,dy,dx]·
+/// xpad[i, y+dy, x+dx]`, then `max(0, ·)` when `relu`. Each output
+/// starts from the bias and adds the taps in `(i, dy, dx)` order,
+/// `a += w·x` rounded twice. Scalar twin of [`conv_fwd_avx2`]; the loop
+/// nest sweeps a whole output plane per tap so the row loop
+/// autovectorizes.
+// lint: hot-path
+// lint: no-f64
+#[allow(clippy::too_many_arguments)]
+fn conv_fwd_scalar(
+    xpad: &[f32],
+    cin: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    weights: &[f32],
+    bias: &[f32],
+    cout: usize,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let (_, wp, plane) = bordered(h, w, k);
+    let npix = h * w;
+    let rdim = cin * k * k;
+    debug_assert_eq!(xpad.len(), cin * plane);
+    debug_assert_eq!(weights.len(), cout * rdim);
+    debug_assert_eq!(out.len(), cout * npix);
+    for (o, out_o) in out.chunks_exact_mut(npix).enumerate() {
+        out_o.fill(bias[o]);
+        let wo = &weights[o * rdim..(o + 1) * rdim];
+        let mut r = 0;
+        for i in 0..cin {
+            for dy in 0..k {
+                for dx in 0..k {
+                    let wv = wo[r];
+                    let tap = &xpad[i * plane + dy * wp + dx..];
+                    for (y, dst) in out_o.chunks_exact_mut(w).enumerate() {
+                        for (d, s) in dst.iter_mut().zip(&tap[y * wp..y * wp + w]) {
+                            *d += wv * *s;
+                        }
+                    }
+                    r += 1;
+                }
+            }
+        }
+    }
+    if relu {
+        out.iter_mut().for_each(|x| *x = x.max(0.0));
+    }
+}
+
+/// AVX2+FMA twin of [`conv_fwd_scalar`]: a 4-output × 16-pixel register
+/// tile (8 YMM accumulators seeded with the bias), one fused
+/// multiply-add per tap in `(i, dy, dx)` order, ReLU applied in-register
+/// before the single store (masked for the partial last group). An
+/// output-channel or pixel block past the end repeats its last row or
+/// group and is never stored.
 ///
 /// # Safety
 /// Caller must ensure AVX2 and FMA are available (dispatch through
@@ -702,201 +510,390 @@ macro_rules! hsum8 {
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_dw_avx2(
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_fwd_avx2(
+    xpad: &[f32],
+    cin: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    weights: &[f32],
+    bias: &[f32],
+    cout: usize,
+    relu: bool,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (_, wp, plane) = bordered(h, w, k);
+    let npix = h * w;
+    let rdim = cin * k * k;
+    debug_assert_eq!(xpad.len(), cin * plane);
+    debug_assert_eq!(weights.len(), cout * rdim);
+    debug_assert_eq!(out.len(), cout * npix);
+    let xp = xpad.as_ptr();
+    let op = out.as_mut_ptr();
+    let zero = _mm256_setzero_ps();
+    let mut o = 0;
+    while o < cout {
+        let nb = (cout - o).min(4);
+        let mut wrow = [weights.as_ptr(); 4];
+        let mut b = [zero; 4];
+        for j in 0..4 {
+            let oj = o + j.min(nb - 1);
+            wrow[j] = weights.as_ptr().add(oj * rdim);
+            b[j] = _mm256_set1_ps(*bias.get_unchecked(oj));
+        }
+        let mut g0 = Group::FIRST;
+        while g0.p < npix {
+            let (gs, n) = g0.tile(npix, w, wp);
+            let mut a = [[zero; TILE]; 4];
+            for j in 0..4 {
+                a[j] = [b[j]; TILE];
+            }
+            let mut idx = [_mm256_setzero_si256(); TILE];
+            macro_rules! taps {
+                ($mode:ident) => {{
+                    // Tap rows `(i, dy)` in order; `row` steps to the
+                    // next plane after `dy = k - 1`.
+                    let (mut r, mut row, mut dy) = (0, xp, 0);
+                    for _ in 0..cin * k {
+                        for dx in 0..k {
+                            let mut c = [zero; TILE];
+                            for q in 0..TILE {
+                                c[q] = px8!($mode, row.add(dx), gs[q], idx[q], w, wp);
+                            }
+                            for j in 0..4 {
+                                let wv = _mm256_set1_ps(*wrow[j].add(r));
+                                for q in 0..TILE {
+                                    a[j][q] = _mm256_fmadd_ps(wv, c[q], a[j][q]);
+                                }
+                            }
+                            r += 1;
+                        }
+                        dy += 1;
+                        row = row.add(if dy == k {
+                            dy = 0;
+                            plane - (k - 1) * wp
+                        } else {
+                            wp
+                        });
+                    }
+                }};
+            }
+            let partial = gs[n - 1].p + 8 > npix;
+            if !partial && groups_in_rows(h, w) {
+                taps!(contiguous);
+            } else if !partial && w >= 8 {
+                taps!(straddle);
+            } else {
+                for q in 0..TILE {
+                    idx[q] = _mm256_loadu_si256(gs[q].lane_offsets(w, wp, npix).as_ptr().cast());
+                }
+                taps!(gather);
+            }
+            for (j, aj) in a.iter().enumerate().take(nb) {
+                for (q, g) in gs.iter().enumerate().take(n) {
+                    let v = if relu { _mm256_max_ps(aj[q], zero) } else { aj[q] };
+                    let at = op.add((o + j) * npix + g.p);
+                    if g.p + 8 <= npix {
+                        _mm256_storeu_ps(at, v);
+                    } else {
+                        _mm256_maskstore_ps(at, first_lanes!(npix - g.p), v);
+                    }
+                }
+            }
+            g0 = gs[TILE - 1].next(w, wp);
+        }
+        o += nb;
+    }
+}
+
+/// Runtime dispatch over the [`conv_fwd_scalar`] / [`conv_fwd_avx2`]
+/// twins.
+// lint: hot-path
+// lint: no-f64
+#[allow(clippy::too_many_arguments)]
+fn conv_fwd(
+    xpad: &[f32],
+    cin: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    weights: &[f32],
+    bias: &[f32],
+    cout: usize,
+    relu: bool,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2_fma() {
+        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
+        unsafe { conv_fwd_avx2(xpad, cin, h, w, k, weights, bias, cout, relu, out) };
+        return;
+    }
+    conv_fwd_scalar(xpad, cin, h, w, k, weights, bias, cout, relu, out);
+}
+
+/// Weight gradient: `dw[o, r] += Σ_p dout[o, p]·xpad[r at p]` for every
+/// tap `r = (i, dy, dx)`. Each sum keeps eight lane partials over the
+/// flat pixel index (`p mod 8`, pixels `< h·w − h·w mod 8`, in pixel
+/// order), adds them low lane to high, then adds the tail pixels' sum.
+/// Scalar twin of [`conv_wgrad_avx2`], with `a += d·x` rounded twice.
+// lint: hot-path
+// lint: no-f64
+#[allow(clippy::too_many_arguments)]
+fn conv_wgrad_scalar(
+    xpad: &[f32],
+    cin: usize,
+    h: usize,
+    w: usize,
+    k: usize,
     dout: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
+    cout: usize,
+    dw: &mut [f32],
+) {
+    let (_, wp, plane) = bordered(h, w, k);
+    let npix = h * w;
+    let kk = k * k;
+    let rdim = cin * kk;
+    let full = npix - npix % 8;
+    debug_assert_eq!(xpad.len(), cin * plane);
+    debug_assert_eq!(dout.len(), cout * npix);
+    debug_assert_eq!(dw.len(), cout * rdim);
+    for r in 0..rdim {
+        let tap = &xpad[tap_offset(r, k, wp, plane)..];
+        for (o, d) in dout.chunks_exact(npix).enumerate() {
+            let mut lanes = [0.0f32; 8];
+            let mut tail = 0.0f32;
+            let mut p = 0;
+            for y in 0..h {
+                for &x in &tap[y * wp..y * wp + w] {
+                    let v = d[p] * x;
+                    if p < full {
+                        lanes[p % 8] += v;
+                    } else {
+                        tail += v;
+                    }
+                    p += 1;
+                }
+            }
+            dw[o * rdim + r] += lanes.iter().sum::<f32>() + tail;
+        }
+    }
+}
+
+/// AVX2+FMA twin of [`conv_wgrad_scalar`]: a 4-output × 3-tap block
+/// keeps 12 YMM lane accumulators live while the pixel groups stream
+/// (fused multiply-adds), the tail pixels run an FMA chain, and each
+/// accumulator collapses to one `dw` entry at block end. A block past
+/// the last output or tap repeats it and is never stored.
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available (dispatch through
+/// [`simd::have_avx2_fma`]).
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_wgrad_avx2(
+    xpad: &[f32],
+    cin: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    dout: &[f32],
     cout: usize,
     dw: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(dw.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
+    let (_, wp, plane) = bordered(h, w, k);
+    let npix = h * w;
+    let kk = k * k;
+    let rdim = cin * kk;
+    let full = npix - npix % 8;
+    debug_assert_eq!(xpad.len(), cin * plane);
     debug_assert_eq!(dout.len(), cout * npix);
-    let dp = dout.as_ptr();
-    let cp = cols.as_ptr();
+    debug_assert_eq!(dw.len(), cout * rdim);
+    let xp = xpad.as_ptr();
     let gp = dw.as_mut_ptr();
-    let mut o = 0;
-    while o + 4 <= cout {
-        let mut r = 0;
-        while r + 2 <= rdim {
-            let mut a00 = _mm256_setzero_ps();
-            let mut a01 = _mm256_setzero_ps();
-            let mut a10 = _mm256_setzero_ps();
-            let mut a11 = _mm256_setzero_ps();
-            let mut a20 = _mm256_setzero_ps();
-            let mut a21 = _mm256_setzero_ps();
-            let mut a30 = _mm256_setzero_ps();
-            let mut a31 = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 8 <= npix {
-                let c0 = _mm256_loadu_ps(cp.add(r * npix + p));
-                let c1 = _mm256_loadu_ps(cp.add((r + 1) * npix + p));
-                let d0 = _mm256_loadu_ps(dp.add(o * npix + p));
-                a00 = _mm256_fmadd_ps(d0, c0, a00);
-                a01 = _mm256_fmadd_ps(d0, c1, a01);
-                let d1 = _mm256_loadu_ps(dp.add((o + 1) * npix + p));
-                a10 = _mm256_fmadd_ps(d1, c0, a10);
-                a11 = _mm256_fmadd_ps(d1, c1, a11);
-                let d2 = _mm256_loadu_ps(dp.add((o + 2) * npix + p));
-                a20 = _mm256_fmadd_ps(d2, c0, a20);
-                a21 = _mm256_fmadd_ps(d2, c1, a21);
-                let d3 = _mm256_loadu_ps(dp.add((o + 3) * npix + p));
-                a30 = _mm256_fmadd_ps(d3, c0, a30);
-                a31 = _mm256_fmadd_ps(d3, c1, a31);
-                p += 8;
-            }
-            let mut t = [[0.0f32; 2]; 4];
-            while p < npix {
-                let cv0 = *cp.add(r * npix + p);
-                let cv1 = *cp.add((r + 1) * npix + p);
-                for (j, tj) in t.iter_mut().enumerate() {
-                    let dv = *dp.add((o + j) * npix + p);
-                    tj[0] = dv.mul_add(cv0, tj[0]);
-                    tj[1] = dv.mul_add(cv1, tj[1]);
-                }
-                p += 1;
-            }
-            *gp.add(o * rdim + r) += hsum8!(a00) + t[0][0];
-            *gp.add(o * rdim + r + 1) += hsum8!(a01) + t[0][1];
-            *gp.add((o + 1) * rdim + r) += hsum8!(a10) + t[1][0];
-            *gp.add((o + 1) * rdim + r + 1) += hsum8!(a11) + t[1][1];
-            *gp.add((o + 2) * rdim + r) += hsum8!(a20) + t[2][0];
-            *gp.add((o + 2) * rdim + r + 1) += hsum8!(a21) + t[2][1];
-            *gp.add((o + 3) * rdim + r) += hsum8!(a30) + t[3][0];
-            *gp.add((o + 3) * rdim + r + 1) += hsum8!(a31) + t[3][1];
-            r += 2;
-        }
-        if r < rdim {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 8 <= npix {
-                let c0 = _mm256_loadu_ps(cp.add(r * npix + p));
-                a0 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add(o * npix + p)), c0, a0);
-                a1 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add((o + 1) * npix + p)), c0, a1);
-                a2 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add((o + 2) * npix + p)), c0, a2);
-                a3 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add((o + 3) * npix + p)), c0, a3);
-                p += 8;
-            }
-            let mut t = [0.0f32; 4];
-            while p < npix {
-                let cv = *cp.add(r * npix + p);
-                for (j, tj) in t.iter_mut().enumerate() {
-                    *tj = (*dp.add((o + j) * npix + p)).mul_add(cv, *tj);
-                }
-                p += 1;
-            }
-            *gp.add(o * rdim + r) += hsum8!(a0) + t[0];
-            *gp.add((o + 1) * rdim + r) += hsum8!(a1) + t[1];
-            *gp.add((o + 2) * rdim + r) += hsum8!(a2) + t[2];
-            *gp.add((o + 3) * rdim + r) += hsum8!(a3) + t[3];
-        }
-        o += 4;
+    let zero = _mm256_setzero_ps();
+    // Bordered offsets of the tail pixels `full..npix`.
+    let mut tail_at = [0usize; 8];
+    for (at, p) in tail_at.iter_mut().zip(full..npix) {
+        *at = (p / w) * wp + p % w;
     }
+    let tail_at = &tail_at[..npix - full];
+    let mut o = 0;
     while o < cout {
-        for r in 0..rdim {
-            let mut acc = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 8 <= npix {
-                acc = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(dp.add(o * npix + p)),
-                    _mm256_loadu_ps(cp.add(r * npix + p)),
-                    acc,
-                );
-                p += 8;
-            }
-            let mut tail = 0.0f32;
-            while p < npix {
-                tail = (*dp.add(o * npix + p)).mul_add(*cp.add(r * npix + p), tail);
-                p += 1;
-            }
-            *gp.add(o * rdim + r) += hsum8!(acc) + tail;
+        let nb = (cout - o).min(4);
+        let mut drow = [dout.as_ptr(); 4];
+        for (j, d) in drow.iter_mut().enumerate() {
+            *d = dout.as_ptr().add((o + j.min(nb - 1)) * npix);
         }
-        o += 1;
+        let mut r = 0;
+        while r < rdim {
+            let nr = (rdim - r).min(3);
+            let mut tap = [xp; 3];
+            for (q, t) in tap.iter_mut().enumerate() {
+                let rq = r + q.min(nr - 1);
+                *t = xp.add(tap_offset(rq, k, wp, plane));
+            }
+            let mut a = [[zero; 3]; 4];
+            macro_rules! fma_group {
+                ($mode:ident, $g:expr, $idx:expr) => {{
+                    let g = $g;
+                    let c = [
+                        px8!($mode, tap[0], g, $idx, w, wp),
+                        px8!($mode, tap[1], g, $idx, w, wp),
+                        px8!($mode, tap[2], g, $idx, w, wp),
+                    ];
+                    for j in 0..4 {
+                        let d = _mm256_loadu_ps(drow[j].add(g.p));
+                        for q in 0..3 {
+                            a[j][q] = _mm256_fmadd_ps(d, c[q], a[j][q]);
+                        }
+                    }
+                }};
+            }
+            if groups_in_rows(h, w) {
+                // Walk each row's whole groups.
+                let (mut row, mut p) = (0, 0);
+                for _ in 0..h {
+                    let mut x0 = 0;
+                    while x0 + 8 <= w {
+                        fma_group!(contiguous, Group { p, row, x0 }, ());
+                        x0 += 8;
+                        p += 8;
+                    }
+                    row += wp;
+                }
+            } else {
+                let mut g = Group::FIRST;
+                while g.p < full {
+                    if w >= 8 {
+                        fma_group!(straddle, g, ());
+                    } else {
+                        let offs = g.lane_offsets(w, wp, npix);
+                        let idx = _mm256_loadu_si256(offs.as_ptr().cast());
+                        fma_group!(gather, g, idx);
+                    }
+                    g = g.next(w, wp);
+                }
+            }
+            let mut t = [[0.0f32; 3]; 4];
+            for (p, &at) in (full..npix).zip(tail_at) {
+                for (tj, d) in t.iter_mut().zip(&drow) {
+                    let dv = *d.add(p);
+                    for q in 0..3 {
+                        tj[q] = dv.mul_add(*tap[q].add(at), tj[q]);
+                    }
+                }
+            }
+            for j in 0..nb {
+                for q in 0..nr {
+                    *gp.add((o + j) * rdim + r + q) += hsum8!(a[j][q]) + t[j][q];
+                }
+            }
+            r += nr;
+        }
+        o += nb;
     }
 }
 
-/// Runtime dispatch over the [`matmul_dw_scalar`] / [`matmul_dw_avx2`]
-/// twins.
+/// Runtime dispatch over the [`conv_wgrad_scalar`] /
+/// [`conv_wgrad_avx2`] twins.
 // lint: hot-path
 // lint: no-f64
-fn matmul_dw(dout: &[f32], cols: &[f32], rdim: usize, npix: usize, cout: usize, dw: &mut [f32]) {
+#[allow(clippy::too_many_arguments)]
+fn conv_wgrad(
+    xpad: &[f32],
+    cin: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    dout: &[f32],
+    cout: usize,
+    dw: &mut [f32],
+) {
     #[cfg(target_arch = "x86_64")]
     if simd::have_avx2_fma() {
         // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_dw_avx2(dout, cols, rdim, npix, cout, dw) };
+        unsafe { conv_wgrad_avx2(xpad, cin, h, w, k, dout, cout, dw) };
         return;
     }
-    matmul_dw_scalar(dout, cols, rdim, npix, cout, dw);
+    conv_wgrad_scalar(xpad, cin, h, w, k, dout, cout, dw);
 }
 
-/// `dcols[r, p] += Σ_o w[o, r]·dout[o, p]` — the input-gradient
-/// (transposed) matmul, same tiling as [`matmul_bias_scalar`] with the
-/// roles of output channels and cols rows swapped. Scalar twin of
-/// [`matmul_t_acc_avx2`].
+/// Pixels per row chunk of [`conv_igrad_scalar`]'s stack accumulator.
+const ROW_CHUNK: usize = 64;
+
+/// Input gradient: `din[i, y, x] += Σ_{dy,dx} Σ_o w[o,i,dy,dx]·
+/// dpad[o, y+2p−dy, x+2p−dx]`, where `dpad` is `dout` with a `p`-wide
+/// zero border. Each tap's sum over `o` starts from zero and is added to
+/// `din`, taps in `(dy, dx)` order; for `k = 1` the single sum starts
+/// from `din` itself. Scalar twin of [`conv_igrad_avx2`], with
+/// `a += w·d` rounded twice.
 // lint: hot-path
 // lint: no-f64
-fn matmul_t_acc_scalar(
-    w: &[f32],
-    dout: &[f32],
-    rdim: usize,
-    npix: usize,
+#[allow(clippy::too_many_arguments)]
+fn conv_igrad_scalar(
+    dpad: &[f32],
     cout: usize,
-    dcols: &mut [f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    weights: &[f32],
+    cin: usize,
+    din: &mut [f32],
 ) {
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(dcols.len(), rdim * npix);
-    debug_assert_eq!(dout.len(), cout * npix);
-    let mut p0 = 0;
-    while p0 < npix {
-        let pt = PIXEL_TILE.min(npix - p0);
-        let mut r = 0;
-        while r + 4 <= rdim {
-            let [t0, t1, t2, t3] = four_rows(dcols, npix, r);
-            let (t0, t1, t2, t3) = (
-                &mut t0[p0..p0 + pt],
-                &mut t1[p0..p0 + pt],
-                &mut t2[p0..p0 + pt],
-                &mut t3[p0..p0 + pt],
-            );
-            for o in 0..cout {
-                let d = &dout[o * npix + p0..o * npix + p0 + pt];
-                let w0 = w[o * rdim + r];
-                let w1 = w[o * rdim + r + 1];
-                let w2 = w[o * rdim + r + 2];
-                let w3 = w[o * rdim + r + 3];
-                for p in 0..pt {
-                    let dv = d[p];
-                    t0[p] += w0 * dv;
-                    t1[p] += w1 * dv;
-                    t2[p] += w2 * dv;
-                    t3[p] += w3 * dv;
+    let (p, wp, plane) = bordered(h, w, k);
+    let kk = k * k;
+    let rdim = cin * kk;
+    debug_assert_eq!(dpad.len(), cout * plane);
+    debug_assert_eq!(weights.len(), cout * rdim);
+    debug_assert_eq!(din.len(), cin * h * w);
+    let single = k == 1;
+    for (i, din_i) in din.chunks_exact_mut(h * w).enumerate() {
+        for (y, drow) in din_i.chunks_exact_mut(w).enumerate() {
+            for (c, dst) in drow.chunks_mut(ROW_CHUNK).enumerate() {
+                let x0 = c * ROW_CHUNK;
+                let mut buf = [0.0f32; ROW_CHUNK];
+                let acc = &mut buf[..dst.len()];
+                for dy in 0..k {
+                    for dx in 0..k {
+                        if single {
+                            acc.copy_from_slice(dst);
+                        } else {
+                            acc.fill(0.0);
+                        }
+                        let at = (y + 2 * p - dy) * wp + x0 + 2 * p - dx;
+                        for o in 0..cout {
+                            let wv = weights[o * rdim + i * kk + dy * k + dx];
+                            let src = &dpad[o * plane + at..o * plane + at + acc.len()];
+                            for (a, s) in acc.iter_mut().zip(src) {
+                                *a += wv * *s;
+                            }
+                        }
+                        if single {
+                            dst.copy_from_slice(acc);
+                        } else {
+                            for (d, a) in dst.iter_mut().zip(acc.iter()) {
+                                *d += *a;
+                            }
+                        }
+                    }
                 }
             }
-            r += 4;
         }
-        while r < rdim {
-            let t = &mut dcols[r * npix + p0..r * npix + p0 + pt];
-            for o in 0..cout {
-                let d = &dout[o * npix + p0..o * npix + p0 + pt];
-                let wv = w[o * rdim + r];
-                for p in 0..pt {
-                    t[p] += wv * d[p];
-                }
-            }
-            r += 1;
-        }
-        p0 += pt;
     }
 }
 
-/// AVX2+FMA twin of [`matmul_t_acc_scalar`]: 4 cols rows × 16 pixels
-/// of accumulators loaded from `dcols` (the kernel accumulates), the
-/// output-channel dimension streaming through weight broadcasts.
+/// AVX2+FMA twin of [`conv_igrad_scalar`]: a 4-input-channel × 16-pixel
+/// register tile per tap, the output channels streaming through weight
+/// broadcasts into fused multiply-adds; the tile is added to `din`
+/// once per tap. A channel or pixel block past the end repeats its last
+/// row or group and is never stored.
 ///
 /// # Safety
 /// Caller must ensure AVX2 and FMA are available (dispatch through
@@ -905,131 +902,152 @@ fn matmul_t_acc_scalar(
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_t_acc_avx2(
-    w: &[f32],
-    dout: &[f32],
-    rdim: usize,
-    npix: usize,
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_igrad_avx2(
+    dpad: &[f32],
     cout: usize,
-    dcols: &mut [f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    weights: &[f32],
+    cin: usize,
+    din: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(dcols.len(), rdim * npix);
-    debug_assert_eq!(dout.len(), cout * npix);
-    let wp = w.as_ptr();
-    let dp = dout.as_ptr();
-    let tp = dcols.as_mut_ptr();
-    let mut r = 0;
-    while r + 4 <= rdim {
-        let mut p = 0;
-        while p + 16 <= npix {
-            let mut a00 = _mm256_loadu_ps(tp.add(r * npix + p));
-            let mut a01 = _mm256_loadu_ps(tp.add(r * npix + p + 8));
-            let mut a10 = _mm256_loadu_ps(tp.add((r + 1) * npix + p));
-            let mut a11 = _mm256_loadu_ps(tp.add((r + 1) * npix + p + 8));
-            let mut a20 = _mm256_loadu_ps(tp.add((r + 2) * npix + p));
-            let mut a21 = _mm256_loadu_ps(tp.add((r + 2) * npix + p + 8));
-            let mut a30 = _mm256_loadu_ps(tp.add((r + 3) * npix + p));
-            let mut a31 = _mm256_loadu_ps(tp.add((r + 3) * npix + p + 8));
-            for o in 0..cout {
-                let d0 = _mm256_loadu_ps(dp.add(o * npix + p));
-                let d1 = _mm256_loadu_ps(dp.add(o * npix + p + 8));
-                let w0 = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a00 = _mm256_fmadd_ps(w0, d0, a00);
-                a01 = _mm256_fmadd_ps(w0, d1, a01);
-                let w1 = _mm256_set1_ps(*wp.add(o * rdim + r + 1));
-                a10 = _mm256_fmadd_ps(w1, d0, a10);
-                a11 = _mm256_fmadd_ps(w1, d1, a11);
-                let w2 = _mm256_set1_ps(*wp.add(o * rdim + r + 2));
-                a20 = _mm256_fmadd_ps(w2, d0, a20);
-                a21 = _mm256_fmadd_ps(w2, d1, a21);
-                let w3 = _mm256_set1_ps(*wp.add(o * rdim + r + 3));
-                a30 = _mm256_fmadd_ps(w3, d0, a30);
-                a31 = _mm256_fmadd_ps(w3, d1, a31);
-            }
-            _mm256_storeu_ps(tp.add(r * npix + p), a00);
-            _mm256_storeu_ps(tp.add(r * npix + p + 8), a01);
-            _mm256_storeu_ps(tp.add((r + 1) * npix + p), a10);
-            _mm256_storeu_ps(tp.add((r + 1) * npix + p + 8), a11);
-            _mm256_storeu_ps(tp.add((r + 2) * npix + p), a20);
-            _mm256_storeu_ps(tp.add((r + 2) * npix + p + 8), a21);
-            _mm256_storeu_ps(tp.add((r + 3) * npix + p), a30);
-            _mm256_storeu_ps(tp.add((r + 3) * npix + p + 8), a31);
-            p += 16;
+    let (p, wp, plane) = bordered(h, w, k);
+    let npix = h * w;
+    let kk = k * k;
+    let rdim = cin * kk;
+    debug_assert_eq!(dpad.len(), cout * plane);
+    debug_assert_eq!(weights.len(), cout * rdim);
+    debug_assert_eq!(din.len(), cin * npix);
+    let single = k == 1;
+    let dp = dpad.as_ptr();
+    let wt = weights.as_ptr();
+    let ip = din.as_mut_ptr();
+    let zero = _mm256_setzero_ps();
+    // `din` access for group `g`: masked for the partial last group.
+    let load = |at: *const f32, g: Group| {
+        if g.p + 8 <= npix {
+            _mm256_loadu_ps(at)
+        } else {
+            _mm256_maskload_ps(at, first_lanes!(npix - g.p))
         }
-        while p + 8 <= npix {
-            let mut a0 = _mm256_loadu_ps(tp.add(r * npix + p));
-            let mut a1 = _mm256_loadu_ps(tp.add((r + 1) * npix + p));
-            let mut a2 = _mm256_loadu_ps(tp.add((r + 2) * npix + p));
-            let mut a3 = _mm256_loadu_ps(tp.add((r + 3) * npix + p));
-            for o in 0..cout {
-                let d = _mm256_loadu_ps(dp.add(o * npix + p));
-                a0 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r)), d, a0);
-                a1 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r + 1)), d, a1);
-                a2 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r + 2)), d, a2);
-                a3 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r + 3)), d, a3);
-            }
-            _mm256_storeu_ps(tp.add(r * npix + p), a0);
-            _mm256_storeu_ps(tp.add((r + 1) * npix + p), a1);
-            _mm256_storeu_ps(tp.add((r + 2) * npix + p), a2);
-            _mm256_storeu_ps(tp.add((r + 3) * npix + p), a3);
-            p += 8;
+    };
+    let store = |at: *mut f32, g: Group, v: __m256| {
+        if g.p + 8 <= npix {
+            _mm256_storeu_ps(at, v)
+        } else {
+            _mm256_maskstore_ps(at, first_lanes!(npix - g.p), v)
         }
-        while p < npix {
-            for j in 0..4 {
-                let mut acc = *tp.add((r + j) * npix + p);
-                for o in 0..cout {
-                    acc = (*wp.add(o * rdim + r + j)).mul_add(*dp.add(o * npix + p), acc);
+    };
+    let mut i = 0;
+    while i < cin {
+        let nb = (cin - i).min(4);
+        let mut wcol = [wt; 4];
+        let mut dst = [ip; 4];
+        for j in 0..4 {
+            let ij = i + j.min(nb - 1);
+            wcol[j] = wt.add(ij * kk);
+            dst[j] = ip.add(ij * npix);
+        }
+        for dy in 0..k {
+            for dx in 0..k {
+                let t = dy * k + dx;
+                let src = dp.add((2 * p - dy) * wp + 2 * p - dx);
+                let mut wj = [wt; 4];
+                for j in 0..4 {
+                    wj[j] = wcol[j].add(t);
                 }
-                *tp.add((r + j) * npix + p) = acc;
+                let mut g0 = Group::FIRST;
+                while g0.p < npix {
+                    let (gs, n) = g0.tile(npix, w, wp);
+                    let mut a = [[zero; TILE]; 4];
+                    if single {
+                        for j in 0..4 {
+                            for q in 0..TILE {
+                                a[j][q] = load(dst[j].add(gs[q].p), gs[q]);
+                            }
+                        }
+                    }
+                    let mut idx = [_mm256_setzero_si256(); TILE];
+                    macro_rules! chain {
+                        ($mode:ident) => {{
+                            let mut plane_o = src;
+                            let mut wo = 0;
+                            for _ in 0..cout {
+                                let mut d = [zero; TILE];
+                                for q in 0..TILE {
+                                    d[q] = px8!($mode, plane_o, gs[q], idx[q], w, wp);
+                                }
+                                for j in 0..4 {
+                                    let wv = _mm256_set1_ps(*wj[j].add(wo));
+                                    for q in 0..TILE {
+                                        a[j][q] = _mm256_fmadd_ps(wv, d[q], a[j][q]);
+                                    }
+                                }
+                                plane_o = plane_o.add(plane);
+                                wo += rdim;
+                            }
+                        }};
+                    }
+                    let partial = gs[n - 1].p + 8 > npix;
+                    if !partial && groups_in_rows(h, w) {
+                        chain!(contiguous);
+                    } else if !partial && w >= 8 {
+                        chain!(straddle);
+                    } else {
+                        for q in 0..TILE {
+                            let offs = gs[q].lane_offsets(w, wp, npix);
+                            idx[q] = _mm256_loadu_si256(offs.as_ptr().cast());
+                        }
+                        chain!(gather);
+                    }
+                    for (j, aj) in a.iter().enumerate().take(nb) {
+                        for (q, &g) in gs.iter().enumerate().take(n) {
+                            let at = dst[j].add(g.p);
+                            let v = if single { aj[q] } else { _mm256_add_ps(load(at, g), aj[q]) };
+                            store(at, g, v);
+                        }
+                    }
+                    g0 = gs[TILE - 1].next(w, wp);
+                }
             }
-            p += 1;
         }
-        r += 4;
-    }
-    while r < rdim {
-        let mut p = 0;
-        while p + 8 <= npix {
-            let mut a0 = _mm256_loadu_ps(tp.add(r * npix + p));
-            for o in 0..cout {
-                let wv = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(dp.add(o * npix + p)), a0);
-            }
-            _mm256_storeu_ps(tp.add(r * npix + p), a0);
-            p += 8;
-        }
-        while p < npix {
-            let mut acc = *tp.add(r * npix + p);
-            for o in 0..cout {
-                acc = (*wp.add(o * rdim + r)).mul_add(*dp.add(o * npix + p), acc);
-            }
-            *tp.add(r * npix + p) = acc;
-            p += 1;
-        }
-        r += 1;
+        i += nb;
     }
 }
 
-/// Runtime dispatch over the [`matmul_t_acc_scalar`] /
-/// [`matmul_t_acc_avx2`] twins.
+/// Runtime dispatch over the [`conv_igrad_scalar`] /
+/// [`conv_igrad_avx2`] twins.
 // lint: hot-path
 // lint: no-f64
-fn matmul_t_acc(w: &[f32], dout: &[f32], rdim: usize, npix: usize, cout: usize, dcols: &mut [f32]) {
+#[allow(clippy::too_many_arguments)]
+fn conv_igrad(
+    dpad: &[f32],
+    cout: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    weights: &[f32],
+    cin: usize,
+    din: &mut [f32],
+) {
     #[cfg(target_arch = "x86_64")]
     if simd::have_avx2_fma() {
         // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_t_acc_avx2(w, dout, rdim, npix, cout, dcols) };
+        unsafe { conv_igrad_avx2(dpad, cout, h, w, k, weights, cin, din) };
         return;
     }
-    matmul_t_acc_scalar(w, dout, rdim, npix, cout, dcols);
+    conv_igrad_scalar(dpad, cout, h, w, k, weights, cin, din);
 }
 
-/// Optimized convolution forward: im2col into `cols` (caller-provided,
-/// [`im2col_len`]-sized; unused for `k == 1`), then blocked matmul.
-/// `relu` fuses `max(0, ·)` into the matmul's output store.
-/// Numerically equivalent to [`reference_conv_forward`] (plus a ReLU
-/// pass when requested) up to float summation order.
+/// Optimized convolution forward: borders `input` into `xpad`
+/// (caller-provided, [`pad_len`]`(cin, h, w, k)` long; unused for
+/// `k == 1`), then runs the direct kernel. `relu` fuses `max(0, ·)`
+/// into the output store. Numerically equivalent to
+/// [`reference_conv_forward`] (plus a ReLU pass when requested) up to
+/// float summation order.
 // lint: hot-path
 // lint: no-f64
 #[allow(clippy::too_many_arguments)]
@@ -1043,25 +1061,23 @@ pub fn conv_forward(
     k: usize,
     cout: usize,
     relu: bool,
-    cols: &mut [f32],
+    xpad: &mut [f32],
     out: &mut [f32],
 ) {
-    let npix = h * w;
-    let rdim = cin * k * k;
     if k == 1 {
-        // 1×1 convolution: the input already is the cols matrix.
-        matmul_bias(weights, input, rdim, npix, cout, bias, relu, out);
+        // No border and no row structure: each plane is one flat row.
+        conv_fwd(input, cin, 1, h * w, k, weights, bias, cout, relu, out);
         return;
     }
-    im2col(input, cin, h, w, k, cols);
-    matmul_bias(weights, cols, rdim, npix, cout, bias, relu, out);
+    pad_into(input, cin, h, w, k, xpad);
+    conv_fwd(xpad, cin, h, w, k, weights, bias, cout, relu, out);
 }
 
-/// Optimized convolution backward. `cols` must hold the im2col of the
-/// layer input (left over from [`conv_forward`], ignored for `k == 1`);
-/// `dcols` is scratch for the input gradient (ignored when `dinput` is
-/// `None` or `k == 1`). Accumulates into `dw` / `db` / `dinput` like
-/// the reference.
+/// Optimized convolution backward. `xpad` must hold the bordered layer
+/// input (left over from [`conv_forward`]; `input` is read instead for
+/// `k == 1`); `dpad` is scratch of [`pad_len`]`(cout, h, w, k)` for the
+/// bordered `dout` (ignored when `dinput` is `None` or `k == 1`).
+/// Accumulates into `dw` / `db` / `dinput` like the reference.
 // lint: hot-path
 // lint: no-f64
 #[allow(clippy::too_many_arguments)]
@@ -1074,17 +1090,16 @@ pub fn conv_backward(
     k: usize,
     cout: usize,
     dout: &[f32],
-    cols: &[f32],
-    dcols: &mut [f32],
+    xpad: &[f32],
+    dpad: &mut [f32],
     dw: &mut [f32],
     db: &mut [f32],
     dinput: Option<&mut [f32]>,
 ) {
     let npix = h * w;
-    let rdim = cin * k * k;
     for (o, bo) in db.iter_mut().enumerate() {
         let row = &dout[o * npix..(o + 1) * npix];
-        // Eight-lane sum, same reassociation as `dot`.
+        // Eight-lane sum, same reassociation as the weight gradient.
         let mut lanes = [0.0f32; 8];
         for ch in row.chunks_exact(8) {
             for l in 0..8 {
@@ -1094,50 +1109,68 @@ pub fn conv_backward(
         let rem = row.len() - row.len() % 8;
         *bo += lanes.iter().sum::<f32>() + row[rem..].iter().sum::<f32>();
     }
-    let cols = if k == 1 { input } else { cols };
-    matmul_dw(dout, cols, rdim, npix, cout, dw);
+    // A 1×1 convolution reads `input` itself, each plane one flat row.
+    let (xpad, h, w) = if k == 1 { (input, 1, npix) } else { (xpad, h, w) };
+    conv_wgrad(xpad, cin, h, w, k, dout, cout, dw);
     if let Some(din) = dinput {
-        if k == 1 {
-            matmul_t_acc(weights, dout, rdim, npix, cout, din);
+        let dpad: &[f32] = if k == 1 {
+            dout
         } else {
-            dcols.fill(0.0);
-            matmul_t_acc(weights, dout, rdim, npix, cout, dcols);
-            col2im_acc(dcols, cin, h, w, k, din);
-        }
+            pad_into(dout, cout, h, w, k, dpad);
+            dpad
+        };
+        conv_igrad(dpad, cout, h, w, k, weights, cin, din);
+    }
+}
+
+/// ReLU backward: zero `d` wherever the post-ReLU activation `a` is not
+/// positive (post-ReLU `a > 0` ⇔ pre-activation `> 0`). A select, not a
+/// branch: the sign pattern is data-dependent, so a branch would
+/// mispredict on about half the elements, and the select vectorizes.
+// lint: hot-path
+// lint: no-f64
+fn relu_backward(d: &mut [f32], a: &[f32]) {
+    for (d, &a) in d.iter_mut().zip(a) {
+        *d = if a <= 0.0 { 0.0 } else { *d };
     }
 }
 
 // --------------------------------------------------------------- workspace
 
 /// Reusable per-sample scratch for [`SegNet::loss_grad_acc`]: forward
-/// activations, backward gradients, and the im2col matrices of both
-/// k×k layers. Constructing one allocates everything the hot path
-/// needs; using it allocates nothing.
+/// activations, backward gradients, and the zero-bordered copies the
+/// k×k kernels read (the input pixels, `a1`, and `da2`). Constructing
+/// one allocates everything the hot path needs; using it allocates
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct Workspace {
+    /// Bordered input pixels: layer-1 forward and weight gradient.
+    xpad: Vec<f32>,
     a1: Vec<f32>,
+    /// Bordered `a1`: layer-2 forward and weight gradient.
+    a1pad: Vec<f32>,
     a2: Vec<f32>,
     /// Logits on the way forward, `dlogits` after the softmax backward.
     dlogits: Vec<f32>,
     da1: Vec<f32>,
     da2: Vec<f32>,
-    cols1: Vec<f32>,
-    cols2: Vec<f32>,
-    dcols: Vec<f32>,
+    /// Bordered `da2`: layer-2 input gradient.
+    da2pad: Vec<f32>,
 }
 
 impl Workspace {
     pub fn new(cfg: &NetConfig) -> Self {
-        let npix = cfg.height * cfg.width;
+        let (h, w, k) = (cfg.height, cfg.width, cfg.k);
+        let npix = h * w;
         Workspace {
+            xpad: vec![0.0; pad_len(cfg.cin, h, w, k)],
             a1: vec![0.0; cfg.hidden1 * npix],
+            a1pad: vec![0.0; pad_len(cfg.hidden1, h, w, k)],
             a2: vec![0.0; cfg.hidden2 * npix],
             dlogits: vec![0.0; cfg.n_classes * npix],
             da1: vec![0.0; cfg.hidden1 * npix],
             da2: vec![0.0; cfg.hidden2 * npix],
-            cols1: vec![0.0; im2col_len(cfg.cin, cfg.k, npix)],
-            cols2: vec![0.0; im2col_len(cfg.hidden1, cfg.k, npix)],
-            dcols: vec![0.0; im2col_len(cfg.hidden1, cfg.k, npix)],
+            da2pad: vec![0.0; pad_len(cfg.hidden2, h, w, k)],
         }
     }
 }
@@ -1234,8 +1267,8 @@ impl SegNet {
         let c = &self.cfg;
         let (h, w) = (c.height, c.width);
         let [w1, b1, w2, b2, w3, b3] = self.layout.split(&self.params);
-        // ReLU is fused into the matmul's output store (`relu: true`).
-        conv_forward(pixels, c.cin, h, w, w1, b1, c.k, c.hidden1, true, &mut ws.cols1, &mut ws.a1);
+        // ReLU is fused into the kernels' output store (`relu: true`).
+        conv_forward(pixels, c.cin, h, w, w1, b1, c.k, c.hidden1, true, &mut ws.xpad, &mut ws.a1);
         conv_forward(
             &ws.a1,
             c.hidden1,
@@ -1246,7 +1279,7 @@ impl SegNet {
             c.k,
             c.hidden2,
             true,
-            &mut ws.cols2,
+            &mut ws.a1pad,
             &mut ws.a2,
         );
         conv_forward(
@@ -1259,23 +1292,33 @@ impl SegNet {
             1,
             c.n_classes,
             false,
-            &mut ws.dcols,
+            &mut [],
             &mut ws.dlogits,
         );
     }
 
-    /// Argmax class map.
+    /// Argmax class map (allocating convenience wrapper over
+    /// [`SegNet::predict_into`]).
     pub fn predict(&self, pixels: &[f32]) -> Vec<u8> {
+        let mut ws = Workspace::new(&self.cfg);
+        let mut out = vec![0; self.cfg.height * self.cfg.width];
+        self.predict_into(pixels, &mut ws, &mut out);
+        out
+    }
+
+    /// Argmax class map written into `out` (one label per pixel), the
+    /// forward pass running through `ws`: no heap allocation.
+    pub fn predict_into(&self, pixels: &[f32], ws: &mut Workspace, out: &mut [u8]) {
         let c = &self.cfg;
-        let (h, w) = (c.height, c.width);
-        let logits = self.forward_logits(pixels);
-        (0..h * w)
-            .map(|i| {
-                (0..c.n_classes)
-                    .max_by(|&a, &b| logits[a * h * w + i].total_cmp(&logits[b * h * w + i]))
-                    .expect("at least one class") as u8 // lint: allow(unwrap): n_classes >= 1 is validated at construction
-            })
-            .collect()
+        let npix = c.height * c.width;
+        assert_eq!(out.len(), npix, "prediction length");
+        self.forward_ws(pixels, ws);
+        let logits = &ws.dlogits;
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (0..c.n_classes)
+                .max_by(|&a, &b| logits[a * npix + i].total_cmp(&logits[b * npix + i]))
+                .expect("at least one class") as u8; // lint: allow(unwrap): n_classes >= 1 is validated at construction
+        }
     }
 
     /// Parameter ranges of the six blocks, in the fixed flat order
@@ -1374,11 +1417,7 @@ impl SegNet {
             gb3,
             Some(&mut ws.da2),
         );
-        for (d, &a) in ws.da2.iter_mut().zip(&ws.a2) {
-            if a <= 0.0 {
-                *d = 0.0;
-            }
-        }
+        relu_backward(&mut ws.da2, &ws.a2);
     }
 
     /// Pipeline phase 3: middle k×k layer backward. Accumulates into
@@ -1398,17 +1437,13 @@ impl SegNet {
             c.k,
             c.hidden2,
             &ws.da2,
-            &ws.cols2,
-            &mut ws.dcols,
+            &ws.a1pad,
+            &mut ws.da2pad,
             gw2,
             gb2,
             Some(&mut ws.da1),
         );
-        for (d, &a) in ws.da1.iter_mut().zip(&ws.a1) {
-            if a <= 0.0 {
-                *d = 0.0;
-            }
-        }
+        relu_backward(&mut ws.da1, &ws.a1);
     }
 
     /// Pipeline phase 4: input k×k layer backward. Accumulates into
@@ -1433,7 +1468,7 @@ impl SegNet {
             c.k,
             c.hidden1,
             &ws.da1,
-            &ws.cols1,
+            &ws.xpad,
             &mut [],
             gw1,
             gb1,

@@ -24,7 +24,7 @@ use trace::{Lane, TraceSession};
 
 use super::checkpoint::{Checkpoint, CheckpointError};
 use super::miou::Confusion;
-use super::net::{chunk_range, BatchWorkspace, NetConfig, SegNet};
+use super::net::{chunk_range, BatchWorkspace, NetConfig, SegNet, Workspace};
 use super::pool::CorePool;
 use super::segdata::{generate, generate_batch, DataConfig};
 use super::sgd::{LrSchedule, MomentumSgd};
@@ -244,20 +244,24 @@ pub struct TrainResult {
 
 /// Evaluate `net` on `n` held-out samples (seed stream disjoint from
 /// training data by construction), one contiguous share per lane of
-/// [`CorePool::global`], merged in lane order.
+/// [`CorePool::global`], merged in lane order. Each lane reuses one
+/// [`Workspace`] and one prediction buffer for all its samples.
 pub fn evaluate(net: &SegNet, data: &DataConfig, seed: u64, n: usize) -> Confusion {
     let eval_seed = derive_seed(seed, "eval");
     let pool = CorePool::global();
-    let mut parts: Vec<Confusion> =
-        (0..pool.workers()).map(|_| Confusion::new(data.n_classes)).collect();
-    pool.for_each_mut(&mut parts, &|lane, conf| {
+    let npix = net.cfg.height * net.cfg.width;
+    let mut lanes: Vec<(Confusion, Workspace, Vec<u8>)> = (0..pool.workers())
+        .map(|_| (Confusion::new(data.n_classes), Workspace::new(&net.cfg), vec![0; npix]))
+        .collect();
+    pool.for_each_mut(&mut lanes, &|lane, (conf, ws, pred)| {
         for i in chunk_range(n, pool.workers(), lane) {
             let s = generate(data, eval_seed, i as u64);
-            conf.add(&s.labels, &net.predict(&s.pixels));
+            net.predict_into(&s.pixels, ws, pred);
+            conf.add(&s.labels, pred);
         }
     });
     let mut total = Confusion::new(data.n_classes);
-    for part in &parts {
+    for (part, _, _) in &lanes {
         total.merge(part);
     }
     total

@@ -1,19 +1,20 @@
-//! Property-tested equivalence of the optimized cache-blocked conv
-//! kernels (im2col + tiled matmul) against the retained naive
-//! `reference_*` implementations, across random shapes including
-//! k = 1 and non-square h×w, within 1e-4.
+//! Property-tested equivalence of the optimized direct conv kernels
+//! (zero-bordered input, register-tiled AVX2 or scalar) against the
+//! retained naive `reference_*` implementations, across random shapes
+//! including k = 1 and non-square h×w, within 1e-4; plus the adjoint
+//! identity between the forward and the input gradient.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trainer::real::net::{
-    col2im_acc, conv_backward, conv_forward, im2col, im2col_len, reference_conv_backward,
-    reference_conv_forward, BatchWorkspace, NetConfig, SegNet,
+    conv_backward, conv_forward, pad_len, reference_conv_backward, reference_conv_forward,
+    BatchWorkspace, NetConfig, SegNet,
 };
 use trainer::real::segdata::Sample;
 
 /// Mixed absolute/relative tolerance: the optimized kernels reassociate
-/// float sums (8-lane dots, tiled accumulation), so results differ from
+/// float sums (8-lane dots, fused multiply-adds), so results differ from
 /// the naive sequential order in the last bits only.
 fn close(a: f32, b: f32, tol: f32) -> bool {
     (a - b).abs() <= tol * (1.0 + b.abs().max(a.abs()))
@@ -53,14 +54,14 @@ proptest! {
         let mut want = vec![0.0f32; cout * npix];
         reference_conv_forward(&input, cin, h, w, &weights, &bias, k, cout, &mut want);
 
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
+        let mut xpad = vec![0.0f32; pad_len(cin, h, w, k)];
         let mut got = vec![0.0f32; cout * npix];
-        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut cols, &mut got);
+        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut xpad, &mut got);
         assert_all_close(&got, &want, 1e-4, "out")?;
 
         // Fused ReLU must equal a separate max(0, ·) pass.
         let mut relu_got = vec![0.0f32; cout * npix];
-        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, true, &mut cols, &mut relu_got);
+        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, true, &mut xpad, &mut relu_got);
         let relu_want: Vec<f32> = want.iter().map(|&x| x.max(0.0)).collect();
         assert_all_close(&relu_got, &relu_want, 1e-4, "relu out")?;
     }
@@ -85,51 +86,59 @@ proptest! {
             &mut dw_want, &mut db_want, Some(&mut din_want),
         );
 
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
+        let mut xpad = vec![0.0f32; pad_len(cin, h, w, k)];
         let mut out = vec![0.0f32; cout * npix];
-        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut cols, &mut out);
-        let mut dcols = vec![0.0f32; cols.len()];
+        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut xpad, &mut out);
+        let mut dpad = vec![0.0f32; pad_len(cout, h, w, k)];
         let (mut dw, mut db, mut din) = (dw0, db0, din0);
         conv_backward(
             &input, cin, h, w, &weights, k, cout, &dout,
-            &cols, &mut dcols, &mut dw, &mut db, Some(&mut din),
+            &xpad, &mut dpad, &mut dw, &mut db, Some(&mut din),
         );
         assert_all_close(&dw, &dw_want, 1e-4, "dw")?;
         assert_all_close(&db, &db_want, 1e-4, "db")?;
         assert_all_close(&din, &din_want, 1e-4, "dinput")?;
     }
 
-    /// im2col followed by its adjoint scatter (col2im) is exactly the
-    /// patch-multiplicity operator: each pixel's coefficient counts how
-    /// many valid k×k windows cover it.
+    /// The input gradient is the adjoint of the bias-free forward:
+    /// ⟨forward(x), y⟩ = ⟨x, input_grad(y)⟩. Widths run past 8 so pixel
+    /// groups straddle rows, and below 8 so a group spans several.
     #[test]
-    fn im2col_col2im_adjoint_roundtrip((h, w, cin, _cout, k, seed) in shape_strategy()) {
-        prop_assume!(k <= h && k <= w && k > 1);
+    fn forward_and_input_grad_are_adjoint(
+        (h, w, cin, cout, k, seed) in (3usize..=9, 3usize..=19, 1usize..=4, 1usize..=5, 0usize..3, 0u64..1 << 48)
+            .prop_map(|(h, w, cin, cout, ki, seed)| (h, w, cin, cout, [1, 3, 5][ki], seed))
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let npix = h * w;
-        let input = fill(&mut rng, cin * npix);
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
-        im2col(&input, cin, h, w, k, &mut cols);
-        let mut back = vec![0.0f32; input.len()];
-        col2im_acc(&cols, cin, h, w, k, &mut back);
-        let r = (k / 2) as isize;
-        for c in 0..cin {
-            for y in 0..h as isize {
-                for x in 0..w as isize {
-                    // Multiplicity along each axis: number of window centers
-                    // within radius r that are in-bounds.
-                    let my = ((y - r).max(0)..=(y + r).min(h as isize - 1)).count();
-                    let mx = ((x - r).max(0)..=(x + r).min(w as isize - 1)).count();
-                    let idx = c * npix + (y as usize) * w + x as usize;
-                    let want = input[idx] * (my * mx) as f32;
-                    prop_assert!(
-                        close(back[idx], want, 1e-4),
-                        "pixel ({}, {}, {}): col2im(im2col(x)) = {} vs multiplicity {} × {}",
-                        c, y, x, back[idx], (my * mx), input[idx]
-                    );
-                }
-            }
-        }
+        let x = fill(&mut rng, cin * npix);
+        let y = fill(&mut rng, cout * npix);
+        let weights = fill(&mut rng, cout * cin * k * k);
+
+        let mut xpad = vec![0.0f32; pad_len(cin, h, w, k)];
+        let mut ax = vec![0.0f32; cout * npix];
+        conv_forward(&x, cin, h, w, &weights, &vec![0.0; cout], k, cout, false, &mut xpad, &mut ax);
+
+        let mut dpad = vec![0.0f32; pad_len(cout, h, w, k)];
+        let (mut dw, mut db) = (vec![0.0f32; weights.len()], vec![0.0f32; cout]);
+        let mut aty = vec![0.0f32; x.len()];
+        conv_backward(
+            &x, cin, h, w, &weights, k, cout, &y,
+            &xpad, &mut dpad, &mut dw, &mut db, Some(&mut aty),
+        );
+
+        // Float error grows with the sum of |terms|, so that is the scale.
+        let dot = |a: &[f32], b: &[f32]| -> (f64, f64) {
+            a.iter().zip(b).fold((0.0, 0.0), |(s, m), (&p, &q)| {
+                let t = f64::from(p) * f64::from(q);
+                (s + t, m + t.abs())
+            })
+        };
+        let ((lhs, lmag), (rhs, rmag)) = (dot(&ax, &y), dot(&x, &aty));
+        prop_assert!(
+            (lhs - rhs).abs() <= 1e-4 * (1.0 + lmag.max(rmag)),
+            "<Ax, y> = {} vs <x, A^T y> = {} (h {} w {} cin {} cout {} k {})",
+            lhs, rhs, h, w, cin, cout, k
+        );
     }
 }
 
