@@ -4,9 +4,10 @@
 //! the *survivor topology*: a sorted list of original rank ids that are
 //! still alive. A call with no fault session delegates straight to the
 //! plain zero-overhead path. Under a [`FaultSession`], the buffers are
-//! snapshotted before the attempt; if the fault-aware executor reports
-//! [`ExecError::RanksDead`], the in-flight collective has already been
-//! aborted, so the wrapper
+//! snapshotted before the attempt, and the session runs one
+//! [`PeerExecutor`](crate::exec_peer::PeerExecutor) per live rank over
+//! fault-injecting wires. If it reports [`PeerExecError::PeerDead`],
+//! the in-flight collective has already been aborted, so the wrapper
 //!
 //! 1. restores every survivor's buffer from the snapshot (partial sums
 //!    from the aborted attempt never leak),
@@ -15,8 +16,8 @@
 //!    algorithm, re-runs the full static verifier on it
 //!    ([`Schedule::verify_allreduce`]) — a degraded topology gets no
 //!    less scrutiny than the original — and
-//! 4. rebuilds the executor around the new schedule while inheriting
-//!    the warm payload pool ([`ExecContext::for_schedule_with_pool`]),
+//! 4. rebuilds the plain executor around the new schedule
+//!    ([`ExecContext::for_schedule`]),
 //!
 //! then retries. Because [`ReduceOp::Average`] finalizes by the
 //! schedule's rank count, the result after degradation is automatically
@@ -29,9 +30,10 @@ use faults::FaultEvent;
 use summit_metrics::FaultCounters;
 
 use crate::algo::Algorithm;
-use crate::exec_fault::FaultSession;
+use crate::exec_peer::PeerExecError;
 use crate::exec_thread::{ExecContext, ExecError};
 use crate::exec_trace::ExecTrace;
+use crate::fault_wire::FaultSession;
 use crate::reduce::ReduceOp;
 use crate::sched::{Schedule, Violation};
 
@@ -44,9 +46,11 @@ pub enum ElasticError {
     /// A rebuilt survivor schedule failed verification — a bug in the
     /// algorithm builder, surfaced rather than executed.
     Rejected(Vec<Violation>),
-    /// A non-recoverable executor error (shape mismatch, retry budget
-    /// exhausted on a live peer).
+    /// A non-recoverable plain-executor error (shape mismatch).
     Exec(ExecError),
+    /// A non-recoverable fault-path error (retry budget exhausted on a
+    /// live peer).
+    Peer(PeerExecError),
 }
 
 impl fmt::Display for ElasticError {
@@ -57,6 +61,7 @@ impl fmt::Display for ElasticError {
                 write!(f, "rebuilt survivor schedule failed verification: {v:?}")
             }
             ElasticError::Exec(e) => write!(f, "executor error: {e}"),
+            ElasticError::Peer(e) => write!(f, "fault-path executor error: {e}"),
         }
     }
 }
@@ -146,7 +151,7 @@ impl ElasticAllreduce {
         &self.schedule
     }
 
-    /// The executor (rebuilt after degradations, pool carried over).
+    /// The plain executor (rebuilt after degradations).
     pub fn ctx(&self) -> &ExecContext {
         &self.ctx
     }
@@ -172,6 +177,7 @@ impl ElasticAllreduce {
             }
             Some(s) => s,
         };
+        self.ctx.preflight(&self.schedule, buffers).map_err(ElasticError::Exec)?;
         let mut dead_total = Vec::new();
         let mut rebuilds = 0usize;
         loop {
@@ -179,20 +185,20 @@ impl ElasticAllreduce {
             // partial sums behind, and the retry must start from the
             // same inputs the fault-free run would have seen.
             let snapshot = buffers.clone();
-            match self.ctx.allreduce_with_faults(&self.schedule, buffers, op, session, &self.live) {
+            match session.allreduce(&self.schedule, buffers, op, &self.live) {
                 Ok(()) => {
                     return Ok(ElasticReport { dead: dead_total, world: self.live.len(), rebuilds })
                 }
-                Err(ExecError::RanksDead { dead }) => {
-                    // `dead` holds local indices into the current live
-                    // set; translate, then shrink topology + buffers.
-                    let dead_orig: Vec<usize> = dead.iter().map(|&l| self.live[l]).collect();
+                Err(PeerExecError::PeerDead { dead }) => {
+                    // `dead` holds original ids; shrink topology + buffers.
                     *buffers = snapshot;
-                    for &local in dead.iter().rev() {
-                        buffers.remove(local);
-                        self.live.remove(local);
+                    for &id in &dead {
+                        if let Some(local) = self.live.iter().position(|&l| l == id) {
+                            buffers.remove(local);
+                            self.live.remove(local);
+                        }
                     }
-                    dead_total.extend_from_slice(&dead_orig);
+                    dead_total.extend_from_slice(&dead);
                     if self.live.is_empty() {
                         return Err(ElasticError::AllRanksDead);
                     }
@@ -200,19 +206,18 @@ impl ElasticAllreduce {
                     FaultCounters::bump(&session.counters().degradations);
                     session.events().push(FaultEvent::Degraded {
                         step: session.step(),
-                        dead: dead_orig,
+                        dead,
                         new_world: self.live.len(),
                     });
                     // Rebuild schedule + executor over the survivors;
-                    // the degraded topology is re-verified in full and
-                    // the warm payload pool carries over.
+                    // the degraded topology is re-verified in full.
                     self.schedule = self.algo.build(self.live.len(), self.n_elems);
                     self.schedule.verify_allreduce().map_err(ElasticError::Rejected)?;
-                    self.ctx = ExecContext::for_schedule_with_pool(&self.schedule, &self.ctx)
-                        .map_err(ElasticError::Exec)?;
+                    self.ctx =
+                        ExecContext::for_schedule(&self.schedule).map_err(ElasticError::Exec)?;
                     self.trace_view = self.trace.as_ref().map(|t| t.reindex(&self.live));
                 }
-                Err(other) => return Err(ElasticError::Exec(other)),
+                Err(other) => return Err(ElasticError::Peer(other)),
             }
         }
     }
@@ -272,6 +277,34 @@ mod tests {
             step: 0,
             dead: vec![2],
             new_world: 3
+        }));
+    }
+
+    /// A crash lands on its exact round even when the rank is idle in
+    /// it: the binomial tree leaves rank 3 without actions in round 1.
+    #[test]
+    fn crash_on_an_idle_round_degrades_to_the_survivors() {
+        let (n, e) = (4usize, 40usize);
+        let mut ela = ElasticAllreduce::new(Algorithm::Tree, n, e).unwrap();
+        assert!(ela.schedule().rounds[1].per_rank[3].is_empty(), "rank 3 idles in round 1");
+        let plan = FaultPlan::explicit(
+            12,
+            vec![Injection { step: 0, rank: 3, round: 1, kind: FaultKind::Crash }],
+        );
+        let session = FaultSession::new(plan);
+        let ins = inputs(n, e);
+        let mut bufs = ins.clone();
+        let report = ela.allreduce(&mut bufs, ReduceOp::Average, Some(&session)).unwrap();
+        assert_eq!(report.dead, vec![3]);
+        assert_eq!(ela.live(), &[0, 1, 2]);
+        let mut by_ref = ins[..3].to_vec();
+        apply_allreduce(ela.schedule(), &mut by_ref, ReduceOp::Average);
+        assert_eq!(bufs, by_ref, "survivor average must be bit-exact");
+        assert!(session.events().deterministic_core().contains(&FaultEvent::Injected {
+            step: 0,
+            rank: 3,
+            round: 1,
+            kind: FaultKind::Crash
         }));
     }
 

@@ -1,29 +1,35 @@
-//! Single-rank schedule execution over a [`transport::Wire`]: the §5d
-//! resend protocol ([`exec_fault`](crate::exec_fault)) lifted out of
-//! the shared-memory thread world and onto framed byte streams, so the
-//! same verified [`Schedule`] runs between separate OS processes.
+//! Single-rank schedule execution over a [`transport::Wire`]: the one
+//! interpreter of the §5d resend protocol. The same verified
+//! [`Schedule`] runs between OS processes (over `SocketMesh`) and
+//! between the rank threads of one process (over `ChannelWire`,
+//! wrapped in the fault-injecting `FaultWire` of
+//! [`fault_wire`](crate::fault_wire) when a fault plan is injected).
 //!
-//! # What moved, what stayed
+//! # One rank per executor
 //!
-//! [`exec_fault`](crate::exec_fault) owns *all* ranks: it spawns one
-//! thread per buffer and aggregates their outcomes. Here each process
-//! owns exactly one rank, so [`PeerExecutor`] is the body of a single
-//! `rank_main` — Phase A snapshot-and-send, Phase B validated in-order
-//! receive-and-apply — with the identical reliability discipline:
-//! per-peer sequence numbers, a clean-copy resend buffer cleared by
-//! acks, nacks on deadline expiry with exponential backoff
+//! A [`PeerExecutor`] owns exactly one rank: Phase A snapshot-and-send,
+//! Phase B validated in-order receive-and-apply, with one reliability
+//! discipline: per-peer sequence numbers, a clean-copy resend buffer
+//! cleared by acks, nacks on deadline expiry with exponential backoff
 //! ([`RetryPolicy`]), CRC-rejected frames surfacing as loss (the wire
 //! drops them at decode), and a [`DedupWindow`] that discards
-//! duplicates idempotently and re-orders early arrivals. Because the
-//! applied payloads and the per-rank combine order are exactly those of
-//! the schedule, the result is bit-identical to the in-process
-//! executors — that is the parity the multi-process integration tests
-//! assert.
+//! duplicates idempotently and re-orders early arrivals. The socket
+//! worker runs one executor per process; the in-process fault path
+//! ([`FaultSession`](crate::fault_wire::FaultSession)) runs one per
+//! rank thread. Because the applied payloads and the per-rank combine
+//! order are exactly those of the schedule, the result is bit-identical
+//! to the reference executor — the parity the multi-process
+//! integration tests and the chaos suite assert.
+//!
+//! Every round starts with [`Wire::begin_round`], the hook a
+//! fault-injecting wire uses to stall or crash this rank at an exact
+//! round. An optional trace lane ([`PeerExecutor::with_trace`]) records
+//! SEND/RECV spans and RETRY instants, each with args (peer id, seq)
+//! — (peer id, attempt) for a timeout.
 //!
 //! # Streams multiplex data and control
 //!
-//! Thread-world acks ride a dedicated reverse channel; a socket gives
-//! us one full-duplex stream per peer, so data, acks, and nacks
+//! Each peer link is one ordered stream, so data, acks, and nacks
 //! interleave on it. Every receive demultiplexes: acks clear the
 //! resend buffer, nacks answer with the clean copy, data goes through
 //! the era filter and the dedup window, and in-order deliveries queue
@@ -53,7 +59,8 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use faults::{FaultClock, RetryPolicy};
+use faults::RetryPolicy;
+use trace::Lane;
 use transport::{DedupWindow, Frame, FrameKind, Offer, Wire, WireError};
 
 use crate::reduce::{combine, finalize, ReduceOp};
@@ -75,7 +82,8 @@ pub enum CtlSignal {
 pub enum PeerExecError {
     /// Peers died (stream EOF or heartbeat silence past the death
     /// threshold). Reported as **original** rank ids — the wire's
-    /// addressing — unlike `ExecError::RanksDead`'s local indices.
+    /// addressing. A rank whose own wire reports it gone at a round
+    /// start (an injected crash) reports itself.
     PeerDead { dead: Vec<usize> },
     /// The retry budget ran out on a peer that still looks alive.
     RetriesExhausted { peer: usize, round: usize },
@@ -129,7 +137,6 @@ struct PendingOut {
 pub struct PeerExecutor<'w> {
     wire: &'w dyn Wire,
     policy: RetryPolicy,
-    clock: FaultClock,
     era: u32,
     step: u32,
     /// Next outbound sequence number, per destination.
@@ -151,17 +158,17 @@ pub struct PeerExecutor<'w> {
     f32_scratch: Vec<f32>,
     /// Cumulative wire statistics (telemetry reads these).
     stats: WireStats,
+    /// SEND/RECV/RETRY recording lane, if tracing is on.
+    lane: Option<Lane>,
 }
 
 impl<'w> PeerExecutor<'w> {
-    /// An executor over `wire` pacing every wait from `policy`. Uses a
-    /// real clock — socket peers really do time out.
+    /// An executor over `wire` pacing every wait from `policy`.
     pub fn new(wire: &'w dyn Wire, policy: RetryPolicy) -> Self {
         let slots = wire.world_ids().iter().copied().max().unwrap_or(0) + 1;
         PeerExecutor {
             wire,
             policy,
-            clock: FaultClock::real(),
             era: 0,
             step: 0,
             next_seq: vec![0; slots],
@@ -173,13 +180,13 @@ impl<'w> PeerExecutor<'w> {
             byte_pool: Vec::new(),
             f32_scratch: Vec::new(),
             stats: WireStats::default(),
+            lane: None,
         }
     }
 
-    /// Substitute a [`FaultClock`] (tests use a virtual clock so waits
-    /// are accounted, not slept).
-    pub fn with_clock(mut self, clock: FaultClock) -> Self {
-        self.clock = clock;
+    /// Record SEND/RECV spans and RETRY instants onto `lane`.
+    pub fn with_trace(mut self, lane: Lane) -> Self {
+        self.lane = Some(lane);
         self
     }
 
@@ -270,6 +277,9 @@ impl<'w> PeerExecutor<'w> {
             return Ok(());
         }
         for (round_idx, round) in schedule.rounds.iter().enumerate() {
+            if self.wire.begin_round(round_idx).is_err() {
+                return Err(PeerExecError::PeerDead { dead: vec![my] });
+            }
             let actions = &round.per_rank[me_local];
             // Phase A: snapshot-and-send every outgoing segment before
             // touching any incoming one — pre-round values, exactly
@@ -293,6 +303,7 @@ impl<'w> PeerExecutor<'w> {
                         (rank_ids[peer], seg)
                     }
                 };
+                let t0 = self.lane.as_ref().map(Lane::now_us);
                 let frame = self.next_data(peer, round_idx, rank_ids, poll)?;
                 assert_eq!(frame.step, self.step, "rank {my}: out-of-step frame from {peer}");
                 assert_eq!(
@@ -318,6 +329,9 @@ impl<'w> PeerExecutor<'w> {
                     }
                     Action::Send { .. } => unreachable!(),
                 }
+                if let (Some(l), Some(t0)) = (&self.lane, t0) {
+                    l.record_args("RECV", "recv", t0, l.now_us() - t0, peer as u64, frame.seq);
+                }
                 self.wire.release(frame.payload);
             }
         }
@@ -336,10 +350,7 @@ impl<'w> PeerExecutor<'w> {
             while !self.pending[peer].is_empty() && waited < budget {
                 match self.wire.recv_timeout(peer, self.policy.tick) {
                     Ok(frame) => self.ingest(peer, frame)?,
-                    Err(WireError::Timeout) => {
-                        self.clock.note_wait(self.policy.tick);
-                        waited += self.policy.tick;
-                    }
+                    Err(WireError::Timeout) => waited += self.policy.tick,
                     Err(WireError::PeerGone) => break,
                     Err(WireError::NoSuchPeer(p)) => unreachable!("flush addressed rank {p}"),
                 }
@@ -357,6 +368,7 @@ impl<'w> PeerExecutor<'w> {
         offset: usize,
         src: &[f32],
     ) -> Result<(), PeerExecError> {
+        let t0 = self.lane.as_ref().map(Lane::now_us);
         let mut clean = self.byte_pool.pop().unwrap_or_default();
         f32s_to_bytes(src, &mut clean);
         let seq = self.next_seq[peer];
@@ -381,6 +393,9 @@ impl<'w> PeerExecutor<'w> {
             offset: offset as u32,
             clean: frame.payload,
         });
+        if let (Some(l), Some(t0)) = (&self.lane, t0) {
+            l.record_args("SEND", "send", t0, l.now_us() - t0, peer as u64, seq);
+        }
         match sent {
             Ok(()) => Ok(()),
             Err(WireError::PeerGone) => Err(PeerExecError::PeerDead { dead: vec![peer] }),
@@ -388,11 +403,10 @@ impl<'w> PeerExecutor<'w> {
         }
     }
 
-    /// Drain whatever every live peer has queued, without blocking.
-    /// This is `exec_fault`'s `service_ctl` generalized to multiplexed
-    /// streams: a rank blocked on peer P must still clear acks, answer
-    /// nacks, and bank early data arriving from Q — the cross-peer
-    /// dependency chains of a schedule deadlock otherwise.
+    /// Drain whatever every live peer has queued, without blocking: a
+    /// rank blocked on peer P must still clear acks, answer nacks, and
+    /// bank early data arriving from Q — the cross-peer dependency
+    /// chains of a schedule deadlock otherwise.
     fn service(&mut self, live: &[usize]) -> Result<(), PeerExecError> {
         let my = self.wire.rank();
         for &p in live.iter().filter(|&&id| id != my) {
@@ -435,7 +449,6 @@ impl<'w> PeerExecutor<'w> {
                     }
                 }
                 Err(WireError::Timeout) => {
-                    self.clock.note_wait(self.policy.tick);
                     waited += self.policy.tick;
                     if poll() == CtlSignal::Abort {
                         return Err(PeerExecError::Aborted);
@@ -449,6 +462,16 @@ impl<'w> PeerExecutor<'w> {
                     }
                     if waited >= deadline {
                         attempt += 1;
+                        if let Some(l) = &self.lane {
+                            l.record_args(
+                                "RETRY",
+                                "timeout",
+                                l.now_us(),
+                                0.0,
+                                peer as u64,
+                                attempt as u64,
+                            );
+                        }
                         if attempt >= self.policy.max_attempts {
                             return Err(PeerExecError::RetriesExhausted { peer, round });
                         }
@@ -557,6 +580,9 @@ impl<'w> PeerExecutor<'w> {
         self.stats.resends += 1;
         self.stats.data_bytes += frame.payload.len() as u64;
         self.pending[peer][pos].clean = frame.payload;
+        if let Some(l) = &self.lane {
+            l.record_args("RETRY", "resend", l.now_us(), 0.0, peer as u64, seq);
+        }
         match sent {
             Ok(()) => Ok(()),
             Err(WireError::PeerGone) => Err(PeerExecError::PeerDead { dead: vec![peer] }),

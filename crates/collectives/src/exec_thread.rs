@@ -61,14 +61,6 @@ pub enum ExecError {
     BufferLen { rank: usize, expected: usize, got: usize },
     /// The schedule failed static verification before any thread spawned.
     Rejected(Vec<Violation>),
-    /// Ranks died (injected crash, or a peer exhausted its retry budget
-    /// and declared them dead). The collective aborted; buffers are in
-    /// an unspecified partial state and must be restored by the caller.
-    /// Ranks are reported as *local indices* into the buffer slice.
-    RanksDead { dead: Vec<usize> },
-    /// A rank gave up waiting on a peer that never disconnected — the
-    /// retry budget ran out with the peer silent but alive.
-    RetriesExhausted { rank: usize, peer: usize, round: usize },
 }
 
 impl fmt::Display for ExecError {
@@ -82,10 +74,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::Rejected(violations) => {
                 write!(f, "schedule failed verification before thread spawn: {violations:?}")
-            }
-            ExecError::RanksDead { dead } => write!(f, "ranks {dead:?} died mid-collective"),
-            ExecError::RetriesExhausted { rank, peer, round } => {
-                write!(f, "rank {rank} exhausted retries waiting on {peer} in round {round}")
             }
         }
     }
@@ -125,10 +113,9 @@ pub struct PayloadPool {
 }
 
 /// A frozen copy of a pool's allocator counters — the anchor for
-/// per-run deltas. Retried/degraded collectives rebuild their
-/// [`ExecContext`] but keep the recycled buffers; snapshotting at run
-/// boundaries keeps zero-allocation assertions from being polluted by
-/// a retry's warm-up (see [`ExecContext::counter_snapshot`]).
+/// per-run deltas: snapshotting at run boundaries keeps
+/// zero-allocation assertions from being polluted by an earlier run's
+/// warm-up (see [`ExecContext::counter_snapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     pub fresh: usize,
@@ -260,29 +247,6 @@ impl PayloadPool {
         }
     }
 
-    /// Reset the allocator counters to zero, leaving the recycled
-    /// buffers (and the capacity hint) in place. Used when a context is
-    /// rebuilt around an inherited pool so the new context's
-    /// zero-allocation accounting starts clean.
-    pub fn reset_counters(&self) {
-        self.fresh.store(0, Ordering::Relaxed); // lint: allow(relaxed): counter reset happens between runs, single-threaded
-        self.grown.store(0, Ordering::Relaxed); // lint: allow(relaxed): counter reset happens between runs, single-threaded
-    }
-
-    /// Move every parked buffer out of `other` into this pool, adopting
-    /// the larger capacity hint. The buffers were already paid for; the
-    /// adopting pool's counters do not change.
-    pub(crate) fn absorb_free_from(&self, other: &PayloadPool) {
-        let mut donated = std::mem::take(&mut *other.free.lock());
-        self.reserve_hint(other.hint.load(Ordering::Relaxed)); // lint: allow(relaxed): monotonic capacity hint; a stale read only costs one realloc
-        self.free.lock().append(&mut donated);
-        let mut donated_bytes = std::mem::take(&mut *other.free_bytes.lock());
-        self.reserve_byte_hint(other.byte_hint.load(Ordering::Relaxed)); // lint: allow(relaxed): monotonic capacity hint; a stale read only costs one realloc
-        self.free_bytes.lock().append(&mut donated_bytes);
-        let mut donated_scratch = std::mem::take(&mut *other.scratch.lock());
-        self.scratch.lock().append(&mut donated_scratch);
-    }
-
     /// Buffers currently parked in the pool.
     pub fn pooled(&self) -> usize {
         self.free.lock().len()
@@ -341,20 +305,6 @@ impl ExecContext {
         Ok(ctx)
     }
 
-    /// Like [`ExecContext::for_schedule`], but inheriting the recycled
-    /// payload buffers of a previous context — the elastic degradation
-    /// path rebuilds its context around the surviving ranks without
-    /// re-allocating (or double-counting) the warm pool. The new
-    /// context's counters start at zero.
-    pub fn for_schedule_with_pool(
-        schedule: &Schedule,
-        donor: &ExecContext,
-    ) -> Result<Self, ExecError> {
-        let ctx = Self::for_schedule(schedule)?;
-        ctx.pool.absorb_free_from(&donor.pool);
-        Ok(ctx)
-    }
-
     /// Debug builds: full verification of unseen schedules, memoized.
     /// Fails with the structured violation list on a bad schedule —
     /// crucially, before any channel is created or thread spawned.
@@ -401,10 +351,6 @@ impl ExecContext {
             }
         }
         self.verify_before_spawn(schedule)
-    }
-
-    pub(crate) fn pool(&self) -> &PayloadPool {
-        &self.pool
     }
 
     /// Execute `schedule` on real buffers, one thread per rank.
@@ -1044,34 +990,6 @@ mod tests {
             ctx.payload_allocations_since(snap),
             0,
             "steady-state window must be allocation-free relative to its snapshot"
-        );
-    }
-
-    #[test]
-    fn rebuilt_context_inherits_pool_with_clean_counters() {
-        // The elastic degradation path rebuilds a context for the
-        // surviving ranks; the recycled buffers must carry over and the
-        // new context's accounting must start at zero, so a retried
-        // collective cannot pollute zero-alloc assertions.
-        let s4 = ring::allreduce(4, 128);
-        let ctx4 = ExecContext::for_schedule(&s4).expect("valid");
-        let mut bufs = inputs(4, 128);
-        ctx4.allreduce(&s4, &mut bufs, ReduceOp::Sum).unwrap();
-        assert!(ctx4.payload_allocations() > 0);
-        assert!(ctx4.pooled_buffers() > 0);
-        let donated = ctx4.pooled_buffers();
-
-        let s3 = ring::allreduce(3, 128);
-        let ctx3 = ExecContext::for_schedule_with_pool(&s3, &ctx4).expect("valid");
-        assert_eq!(ctx3.payload_allocations(), 0, "inherited buffers are not new allocations");
-        assert_eq!(ctx3.pooled_buffers(), donated, "warm pool must transfer");
-        assert_eq!(ctx4.pooled_buffers(), 0, "donor pool is drained");
-        let mut bufs3 = inputs(3, 128);
-        ctx3.allreduce(&s3, &mut bufs3, ReduceOp::Sum).unwrap();
-        assert_eq!(
-            ctx3.payload_allocations(),
-            0,
-            "a 3-rank ring needs fewer buffers than the donated 4-rank pool holds"
         );
     }
 

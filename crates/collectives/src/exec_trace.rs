@@ -1,20 +1,22 @@
-//! Per-rank trace lanes for the threaded executors.
+//! Per-rank trace lanes for the in-process executors.
 //!
 //! An [`ExecTrace`] maps rank ids onto [`trace::Lane`] handles of one
 //! shared [`trace::TraceRecorder`] — rank → Chrome `pid`, executor
 //! thread → `tid` — so every rank thread of
-//! [`exec_thread`](crate::exec_thread) and
-//! [`exec_fault`](crate::exec_fault) records SEND/RECV/RETRY spans
-//! into its own row of the combined trace. Lane lookup happens once
-//! per rank thread at spawn; recording afterwards is the recorder's
-//! no-alloc ring write, which keeps the traced plain path inside the
-//! zero-allocation budget the trainer asserts.
+//! [`exec_thread`](crate::exec_thread) and every
+//! [`PeerExecutor`](crate::exec_peer::PeerExecutor) of the fault path
+//! records SEND/RECV/RETRY spans into its own row of the combined
+//! trace. Lane lookup happens once per rank thread at spawn; recording
+//! afterwards is the recorder's no-alloc ring write, which keeps the
+//! traced plain path inside the zero-allocation budget the trainer
+//! asserts.
 //!
 //! The map is keyed by whatever ids the creator passes: the plain
-//! executor uses local rank indices, while [`FaultSession`]
-//! (crate::exec_fault::FaultSession) keys by *original* world ids so a
-//! plan-addressed rank keeps its trace row across elastic
-//! renumberings; [`ExecTrace::reindex`] converts between the two.
+//! executor uses local rank indices, while
+//! [`FaultSession`](crate::fault_wire::FaultSession) keys by
+//! *original* world ids so a plan-addressed rank keeps its trace row
+//! (and its FAULT instants) across elastic renumberings;
+//! [`ExecTrace::reindex`] converts between the two.
 
 use trace::{Lane, TraceRecorder};
 

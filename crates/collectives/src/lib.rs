@@ -3,13 +3,16 @@
 //! Every algorithm — ring, recursive doubling, Rabenseifner
 //! (halving-doubling), binomial trees, and the two-level hierarchical
 //! composition — compiles to the same round-structured [`Schedule`]
-//! representation, which three executors consume:
+//! representation, which four executors consume:
 //!
 //! * [`mod@reference`] — sequential oracle used by every correctness test;
 //! * [`exec_sim`] — timing over the [`summit_sim`] fluid-flow simulator,
 //!   parameterized by a [`exec_sim::CostModel`] (the MPI personalities);
 //! * [`exec_thread`] — *real* data movement across OS threads over
-//!   crossbeam channels, used by the numerical training experiments.
+//!   crossbeam channels, used by the numerical training experiments;
+//! * [`exec_peer`] — one rank over a [`transport::Wire`], running the
+//!   §5d seq/ack/nack/resend/dedup protocol: the socket workers run
+//!   one per process, the in-process fault path one per rank thread.
 //!
 //! Having one schedule drive both the clock and the data is the point:
 //! the algorithm whose time we report is the algorithm the gradients
@@ -26,23 +29,24 @@
 //! assert!(bufs.iter().all(|b| b[0] == 6.0)); // 0+1+2+3
 //! ```
 //!
-//! Fault tolerance lives in two layers on top of the same executor:
-//! [`exec_fault`] runs a schedule under a seeded
-//! [`faults::FaultPlan`] with CRC-checked, sequence-numbered resend
-//! (drops and corruptions are repaired in place), and [`elastic`]
-//! wraps it with crash recovery — when ranks die the collective is
-//! aborted, the schedule is rebuilt over the survivors, re-verified,
-//! and re-run.
+//! Fault tolerance lives in two layers on top of [`exec_peer`]:
+//! [`fault_wire`] runs a schedule under a seeded
+//! [`faults::FaultPlan`], injecting drops, corruptions, stragglers and
+//! crashes at the frame layer of an in-process wire mesh (the
+//! executor's resend protocol repairs drops and corruptions in place),
+//! and [`elastic`] wraps it with crash recovery — when ranks die the
+//! collective is aborted, the schedule is rebuilt over the survivors,
+//! re-verified, and re-run.
 
 pub mod algo;
 pub mod analytic;
 pub mod compression;
 pub mod elastic;
-pub mod exec_fault;
 pub mod exec_peer;
 pub mod exec_sim;
 pub mod exec_thread;
 pub mod exec_trace;
+pub mod fault_wire;
 pub mod hierarchical;
 pub mod pipeline;
 pub mod rabenseifner;
@@ -57,13 +61,13 @@ pub use algo::Algorithm;
 pub use analytic::{allreduce_cost, crossover, AlphaBeta};
 pub use compression::{codec_for, Codec, CodecKind, EncodeScratch, ErrorFeedback};
 pub use elastic::{ElasticAllreduce, ElasticError, ElasticReport};
-pub use exec_fault::FaultSession;
 pub use exec_peer::{CtlSignal, PeerExecError, PeerExecutor, WireStats};
 pub use exec_sim::{
     simulate, simulate_compressed, simulate_dense, CostModel, MsgParams, UniformCost, ELEM_BYTES,
 };
 pub use exec_thread::{ExecContext, ExecError, PoolCounters};
 pub use exec_trace::ExecTrace;
+pub use fault_wire::FaultSession;
 pub use hierarchical::{LeaderAlgo, NodeGroups};
 pub use reduce::ReduceOp;
 pub use sched::{Action, Round, Rule, Schedule, Seg, Span, Violation};

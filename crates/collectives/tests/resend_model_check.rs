@@ -1,20 +1,31 @@
-//! Bounded model check of the resend/ack protocol behind
-//! `exec_fault` (see `crates/collectives/src/exec_fault.rs`), via the
-//! vendored explicit-state checker (`vendor/interleave`).
+//! Bounded model check of the §5d resend/ack protocol as
+//! `collectives::exec_peer` runs it (see
+//! `crates/collectives/src/exec_peer.rs` and `transport::DedupWindow`),
+//! via the vendored explicit-state checker (`vendor/interleave`).
 //!
-//! The model is the wire protocol distilled to its atomic actions: each
-//! sender assigns consecutive sequence numbers, keeps a resend buffer of
-//! sent-but-unacked payloads, and answers NACKs by re-sending the clean
-//! copy; the receiver applies in sequence order, ACKs every delivery,
-//! discards duplicates idempotently, and NACKs a sequence number it can
-//! prove lost (sent, not applied, nothing in flight — the model's
-//! timeout). An adversary drops and duplicates in-flight payloads under
-//! a bounded budget.
+//! The model is the protocol distilled to its atomic actions. Each
+//! sender assigns consecutive sequence numbers, keeps a resend buffer
+//! of sent-but-unacked payloads, and answers NACKs by re-sending the
+//! clean copy. The receiver runs the dedup window: the next expected
+//! seq is delivered (and any stashed successors with it), a later seq
+//! is stashed, and a seq below the window edge — or one already
+//! stashed — is a duplicate, discarded and **re-acked**. Acks follow a
+//! **cumulative cursor**: after every ingest, each seq from `acked` up
+//! to the window's `expected()` is acked once, so the cursor always
+//! trails the delivery edge. When nothing is in flight and `expected()`
+//! was sent but not delivered (the model's timeout), the receiver
+//! **NACKs `expected()`**. Acks and NACKs share one back stream per
+//! peer, as data, acks and NACKs share one stream on a real wire. An
+//! adversary drops and duplicates in-flight payloads under a bounded
+//! budget.
 //!
 //! Checked exhaustively over every interleaving:
 //!
 //! * **No duplicate apply** — no payload is ever combined into the
 //!   destination twice (gradient corruption).
+//! * **Acks never run ahead** — the ack cursor never passes the
+//!   window's delivery edge, and a sender only drops its clean copy of
+//!   a seq the receiver has applied or stashed.
 //! * **No lost gradient** — every payload the protocol claims finished
 //!   was applied exactly once; a silently lost payload shows up as a
 //!   deadlock (the receiver can never complete), which the checker
@@ -27,26 +38,35 @@
 use interleave::{check, Model, Options, Step, Verdict};
 
 /// Payloads per sender lane. Two is enough to exercise ordering,
-/// dedup, and the resend buffer holding several entries.
+/// dedup, the stash, and the resend buffer holding several entries.
 const M: u8 = 2;
 
-/// Full protocol state: wire + control queues plus every agent's
+/// A back-stream frame from receiver to sender.
+#[derive(Clone, Copy, Hash, PartialEq, Eq, Debug)]
+enum Ctl {
+    Ack(u8),
+    Nack(u8),
+}
+
+/// Full protocol state: wire + back streams plus every agent's
 /// locals. One "lane" per sender; the receiver handles lanes
-/// independently (per-peer sequence tracking, as in the executor).
+/// independently (per-peer windows, as in the executor).
 #[derive(Clone, Hash, PartialEq, Eq, Debug)]
 struct St {
     /// In-flight payload seqs per lane, FIFO.
     wire: Vec<Vec<u8>>,
-    /// ACKed seqs travelling back per lane, FIFO.
-    acks: Vec<Vec<u8>>,
-    /// NACKed seqs travelling back per lane, FIFO.
-    nacks: Vec<Vec<u8>>,
+    /// Acks and NACKs travelling back per lane, FIFO.
+    back: Vec<Vec<Ctl>>,
     /// Next seq each sender will send.
     next: Vec<u8>,
     /// Sent-but-unacked seqs per lane (the resend buffer).
     pending: Vec<Vec<u8>>,
-    /// Receiver's next expected seq per lane.
+    /// Receiver's dedup window per lane: next seq to deliver...
     expected: Vec<u8>,
+    /// ...and the early arrivals it holds.
+    stash: Vec<Vec<u8>>,
+    /// First not-yet-acked seq per lane (the cumulative ack cursor).
+    acked: Vec<u8>,
     /// Times each (lane, seq) payload was applied.
     applied: Vec<[u8; M as usize]>,
     /// Remaining adversary budgets.
@@ -78,11 +98,12 @@ impl Model for ResendModel {
         let n = self.senders;
         St {
             wire: vec![Vec::new(); n],
-            acks: vec![Vec::new(); n],
-            nacks: vec![Vec::new(); n],
+            back: vec![Vec::new(); n],
             next: vec![0; n],
             pending: vec![Vec::new(); n],
             expected: vec![0; n],
+            stash: vec![Vec::new(); n],
+            acked: vec![0; n],
             applied: vec![[0; M as usize]; n],
             drops: self.drops,
             dups: self.dups,
@@ -98,15 +119,17 @@ impl Model for ResendModel {
         let lane = tid % self.senders;
         let mut st = s.clone();
         match tid / self.senders {
-            // Sender: service ctl traffic first, then send fresh seqs,
-            // then wait for the resend buffer to drain.
+            // Sender: service the back stream first, then send fresh
+            // seqs, then wait for the resend buffer to drain.
             0 => {
-                if let Some(a) = take_front(&mut st.acks[lane]) {
-                    st.pending[lane].retain(|&q| q != a);
-                    Step::Ready(st)
-                } else if let Some(q) = take_front(&mut st.nacks[lane]) {
-                    if self.retry && st.pending[lane].contains(&q) {
-                        st.wire[lane].push(q); // resend the clean copy
+                if let Some(ctl) = take_front(&mut st.back[lane]) {
+                    match ctl {
+                        Ctl::Ack(q) => st.pending[lane].retain(|&p| p != q),
+                        Ctl::Nack(q) => {
+                            if self.retry && st.pending[lane].contains(&q) {
+                                st.wire[lane].push(q); // resend the clean copy
+                            }
+                        }
                     }
                     Step::Ready(st)
                 } else if st.next[lane] < M {
@@ -121,33 +144,48 @@ impl Model for ResendModel {
                     Step::Blocked // awaiting acks
                 }
             }
-            // Receiver (per-peer loop): apply in order, ack everything,
-            // drop duplicates, nack provable losses.
+            // Receiver (per-peer window): deliver in order, stash early
+            // arrivals, drop and re-ack duplicates, advance the ack
+            // cursor, nack the window edge on a provable loss.
             1 => {
                 if let Some(q) = take_front(&mut st.wire[lane]) {
-                    if q == st.expected[lane] {
-                        st.applied[lane][q as usize] += 1;
-                        st.expected[lane] += 1;
-                        st.acks[lane].push(q);
-                    } else if q < st.expected[lane] {
+                    let e = st.expected[lane];
+                    if q < e || st.stash[lane].contains(&q) {
                         // Duplicate: idempotent discard, re-ack so the
                         // sender's resend buffer still drains.
                         if !self.dedup {
                             st.applied[lane][q as usize] += 1; // mutant
                         }
-                        st.acks[lane].push(q);
+                        st.back[lane].push(Ctl::Ack(q));
+                    } else if q > e {
+                        st.stash[lane].push(q);
+                    } else {
+                        st.applied[lane][q as usize] += 1;
+                        st.expected[lane] += 1;
+                        while let Some(pos) =
+                            st.stash[lane].iter().position(|&p| p == st.expected[lane])
+                        {
+                            let p = st.stash[lane].remove(pos);
+                            st.applied[lane][p as usize] += 1;
+                            st.expected[lane] += 1;
+                        }
+                    }
+                    while st.acked[lane] < st.expected[lane] {
+                        st.back[lane].push(Ctl::Ack(st.acked[lane]));
+                        st.acked[lane] += 1;
                     }
                     return Step::Ready(st);
                 }
                 let e = st.expected[lane];
                 if e < M {
-                    // Timeout model: `e` was sent, is not applied, and
-                    // nothing is in flight ⇒ it was dropped. One
+                    // Timeout model: `e` was sent, is not delivered,
+                    // and nothing is in flight ⇒ it was dropped. One
                     // outstanding NACK per lane, like one pending
                     // deadline per blocked receive.
-                    let lost = st.pending[lane].contains(&e) && st.nacks[lane].is_empty();
+                    let lost = st.pending[lane].contains(&e)
+                        && !st.back[lane].iter().any(|c| matches!(c, Ctl::Nack(_)));
                     if self.retry && lost {
-                        st.nacks[lane].push(e);
+                        st.back[lane].push(Ctl::Nack(e));
                         return Step::Ready(st);
                     }
                     return Step::Blocked;
@@ -190,12 +228,23 @@ impl Model for ResendModel {
                     return Err(format!("lane {lane} seq {q} passed but applied {n} times"));
                 }
             }
+            if s.acked[lane] > s.expected[lane] {
+                return Err(format!("lane {lane} ack cursor ran past the window edge"));
+            }
+            // A sender drops its clean copy only once the receiver holds
+            // the payload (applied, or stashed for in-order delivery).
+            for q in 0..s.next[lane] {
+                let held = s.applied[lane][q as usize] > 0 || s.stash[lane].contains(&q);
+                if !s.pending[lane].contains(&q) && !held {
+                    return Err(format!("lane {lane} seq {q} acked before it was held"));
+                }
+            }
         }
         Ok(())
     }
 }
 
-fn take_front(q: &mut Vec<u8>) -> Option<u8> {
+fn take_front<T>(q: &mut Vec<T>) -> Option<T> {
     if q.is_empty() {
         None
     } else {

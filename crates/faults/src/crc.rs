@@ -1,11 +1,10 @@
-//! CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) payload
-//! checksums.
+//! CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) checksums.
 //!
-//! The fault-aware executor stamps every payload with the checksum of
-//! its clean contents; an injected bit-flip in flight makes the
-//! receiver's recomputation disagree, which triggers a resend request
-//! instead of silently averaging garbage into the gradients. The table
-//! is built at compile time — no lazy init on the message path.
+//! Every wire frame carries the checksum of its header and payload in
+//! a CRC tail; an injected bit-flip in flight makes the decoder's
+//! recomputation disagree, so the frame is dropped and resent instead
+//! of silently averaging garbage into the gradients. The table is
+//! built at compile time — no lazy init on the message path.
 
 /// The 256-entry lookup table, computed in a `const` context.
 const CRC_TABLE: [u32; 256] = {
@@ -33,18 +32,6 @@ pub fn crc32_bytes(data: &[u8]) -> u32 {
     !crc
 }
 
-/// CRC32 of an `f32` payload, over its little-endian byte image — the
-/// same bits the executor actually moves.
-pub fn crc32(data: &[f32]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &x in data {
-        for b in x.to_le_bytes() {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,31 +41,5 @@ mod tests {
         // Standard CRC32 check value for "123456789".
         assert_eq!(crc32_bytes(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_bytes(b""), 0);
-    }
-
-    #[test]
-    fn f32_crc_matches_byte_crc() {
-        let xs = [1.5f32, -2.25, 0.0, f32::MIN_POSITIVE, 1e30];
-        let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
-        assert_eq!(crc32(&xs), crc32_bytes(&bytes));
-    }
-
-    #[test]
-    fn single_bit_flip_changes_crc() {
-        let clean = vec![0.125f32; 64];
-        let base = crc32(&clean);
-        for elem in [0usize, 17, 63] {
-            for bit in [0u32, 13, 31] {
-                let mut bad = clean.clone();
-                bad[elem] = f32::from_bits(bad[elem].to_bits() ^ (1 << bit));
-                assert_ne!(crc32(&bad), base, "flip elem {elem} bit {bit} undetected");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_payload_has_stable_crc() {
-        assert_eq!(crc32(&[]), crc32(&[]));
-        assert_eq!(crc32(&[]), 0);
     }
 }

@@ -5,7 +5,10 @@
 //!
 //! This is the backend the protocol unit tests drive, including the
 //! fault-injecting wrappers that drop, duplicate, and reorder frames
-//! to exercise the §5d reliability layer in `collectives::exec_peer`.
+//! to exercise the §5d reliability layer in `collectives::exec_peer`,
+//! and the mesh under the in-process fault path
+//! (`collectives::fault_wire`), where [`ChannelWire::hang_up`] is how a
+//! crashed rank thread stops talking.
 
 use std::time::Duration;
 
@@ -55,7 +58,8 @@ impl ChannelWire {
     }
 
     /// Drop this wire's sender toward `peer` — the in-process analogue
-    /// of a process death, used by tests to simulate a crashed rank.
+    /// of a process death: the peer drains what was sent, then sees
+    /// [`WireError::PeerGone`].
     pub fn hang_up(&mut self, peer: usize) {
         if let Some(slot) = self.tx.get_mut(peer) {
             *slot = None;

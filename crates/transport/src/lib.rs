@@ -7,7 +7,7 @@
 //!
 //! * [`channel::ChannelWire`] — in-process, frames pass by value over
 //!   crossbeam channels. Zero serialization; used by protocol unit
-//!   tests and as the degenerate single-process backend.
+//!   tests and by the in-process fault path.
 //! * [`mesh::SocketMesh`] — Unix-domain sockets, one full-duplex stream
 //!   per peer pair, every message a length-prefixed CRC32-tailed
 //!   [`frame::Frame`]. A reader thread per connection decodes frames
@@ -121,4 +121,13 @@ pub trait Wire: Send + Sync {
     /// that recycle every received payload keep the steady state
     /// allocation-free on the socket backend.
     fn release(&self, payload: Vec<u8>);
+
+    /// Called by the executor at the start of every schedule round,
+    /// including rounds where this rank neither sends nor receives.
+    /// A fault-injecting decorator stalls or crashes the rank here, at
+    /// an exact round; [`WireError::PeerGone`] means this rank itself
+    /// is gone. Real backends have nothing to do.
+    fn begin_round(&self, _round: usize) -> Result<(), WireError> {
+        Ok(())
+    }
 }
